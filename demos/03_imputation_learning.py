@@ -7,7 +7,7 @@ import numpy as np
 from pilot.dgm import ActivationDGM, DGMConfig
 from pilot.masks import sample_mask
 from pilot.nets import RecordLayout
-from pilot.optim import Adam, clip_gradients
+from pilot.optim import Adam
 
 rng = np.random.default_rng(0)
 
@@ -38,7 +38,7 @@ for step in range(600):
     lam, diag = model.lambda_elbo(records, mask, rng=rng)
     opt.zero_grad()
     (-lam).backward()
-    opt.step(clip_gradients([p.grad for p in opt.params], 5.0))
+    opt.step(max_norm=5.0)      # clip to global norm 5, then update in place
     if step % 100 == 0:
         print(f"step {step:4d}: ELBO {diag['lambda']:8.2f}  recon {diag['recon']:8.2f}  "
               f"KL {diag['kl']:6.3f}  penalty {diag['penalty']:6.3f}")

@@ -183,11 +183,21 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
+def _accumulate(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add ``grad`` into ``tensor.grad``.
+
+    ``fresh`` says the backward rule allocated ``grad`` for this call alone,
+    so it may become ``tensor.grad`` as it is. Any other array (a pass-through
+    of the upstream gradient, or a view of it) is copied, so that no two
+    tensors ever share a ``.grad`` array.
+    """
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
-        tensor.grad = np.array(grad, dtype=DEFAULT_DTYPE, copy=True)
+        if fresh:
+            tensor.grad = np.asarray(grad, dtype=DEFAULT_DTYPE)
+        else:
+            tensor.grad = np.array(grad, dtype=DEFAULT_DTYPE, copy=True)
     else:
         tensor.grad = tensor.grad + grad
 
@@ -226,8 +236,10 @@ def add(a, b) -> Tensor:
         raise ShapeError("add", a.shape, b.shape) from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(data, "add", (a, b), backward)
 
@@ -240,8 +252,10 @@ def sub(a, b) -> Tensor:
         raise ShapeError("sub", a.shape, b.shape) from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape), fresh=True)
 
     return _make(data, "sub", (a, b), backward)
 
@@ -254,8 +268,10 @@ def mul(a, b) -> Tensor:
         raise ShapeError("mul", a.shape, b.shape) from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _make(data, "mul", (a, b), backward)
 
@@ -268,8 +284,10 @@ def div(a, b) -> Tensor:
         raise ShapeError("div", a.shape, b.shape) from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape), fresh=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
 
     return _make(data, "div", (a, b), backward)
 
@@ -284,8 +302,10 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T, fresh=True)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g, fresh=True)
 
     return _make(data, "matmul", (a, b), backward)
 
@@ -317,19 +337,24 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
             )
 
     def backward(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data)
-        for dy in range(kh):
-            for dx in range(kw):
-                patch = xp[:, :, dy : dy + oh, dx : dx + ow]
-                dw[:, :, dy, dx] = np.einsum("noyx,ncyx->oc", g, patch)
-                dxp[:, :, dy : dy + oh, dx : dx + ow] += np.einsum(
-                    "noyx,oc->ncyx", g, w.data[:, :, dy, dx]
-                )
-        if padding:
-            dxp = dxp[:, :, padding:-padding, padding:-padding]
-        _accumulate(x, dxp)
-        _accumulate(w, dw)
+        if w.requires_grad:
+            dw = np.zeros_like(w.data)
+            for dy in range(kh):
+                for dx in range(kw):
+                    patch = xp[:, :, dy : dy + oh, dx : dx + ow]
+                    dw[:, :, dy, dx] = np.einsum("noyx,ncyx->oc", g, patch)
+            _accumulate(w, dw, fresh=True)
+        if x.requires_grad:
+            dxp = np.zeros_like(xp)
+            for dy in range(kh):
+                for dx in range(kw):
+                    dxp[:, :, dy : dy + oh, dx : dx + ow] += np.einsum(
+                        "noyx,oc->ncyx", g, w.data[:, :, dy, dx]
+                    )
+            if padding:   # a strided view into the padded array: copied
+                _accumulate(x, dxp[:, :, padding:-padding, padding:-padding])
+            else:
+                _accumulate(x, dxp, fresh=True)
 
     return _make(out, "conv2d", (x, w), backward)
 
@@ -349,7 +374,7 @@ def max_pool2d(x, k: int) -> Tensor:
     def backward(g):
         mask = windows == out[:, :, :, None, :, None]
         dx = mask * g[:, :, :, None, :, None]
-        _accumulate(x, dx.reshape(n, c, h, w))
+        _accumulate(x, dx.reshape(n, c, h, w), fresh=True)
 
     return _make(out, "max_pool2d", (x,), backward)
 
@@ -362,7 +387,7 @@ def relu(x) -> Tensor:
     data = np.maximum(x.data, 0.0)
 
     def backward(g):
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(x, g * (x.data > 0), fresh=True)
 
     return _make(data, "relu", (x,), backward)
 
@@ -372,7 +397,7 @@ def exp(x) -> Tensor:
     data = np.exp(x.data)
 
     def backward(g):
-        _accumulate(x, g * data)
+        _accumulate(x, g * data, fresh=True)
 
     return _make(data, "exp", (x,), backward)
 
@@ -382,7 +407,7 @@ def log(x) -> Tensor:
     data = np.log(x.data)
 
     def backward(g):
-        _accumulate(x, g / x.data)
+        _accumulate(x, g / x.data, fresh=True)
 
     return _make(data, "log", (x,), backward)
 
@@ -391,7 +416,7 @@ def square(x) -> Tensor:
     x = as_tensor(x)
 
     def backward(g):
-        _accumulate(x, g * 2.0 * x.data)
+        _accumulate(x, g * 2.0 * x.data, fresh=True)
 
     return _make(x.data * x.data, "square", (x,), backward)
 
@@ -401,7 +426,7 @@ def sqrt(x) -> Tensor:
     data = np.sqrt(x.data)
 
     def backward(g):
-        _accumulate(x, g * 0.5 / data)
+        _accumulate(x, g * 0.5 / data, fresh=True)
 
     return _make(data, "sqrt", (x,), backward)
 
@@ -415,7 +440,8 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
 
     def backward(g):
         if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.shape).copy() if np.ndim(g) else np.full(x.shape, g))
+            _accumulate(x, np.broadcast_to(g, x.shape).copy() if np.ndim(g) else np.full(x.shape, g),
+                        fresh=True)
             return
         gg = g
         if not keepdims:
@@ -432,7 +458,7 @@ def tmean(x, axis=None, keepdims=False) -> Tensor:
 
     def backward(g):
         if axis is None:
-            _accumulate(x, np.full(x.shape, g / count))
+            _accumulate(x, np.full(x.shape, g / count), fresh=True)
             return
         gg = g
         if not keepdims:
@@ -454,7 +480,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, y * (g - dot))
+        _accumulate(x, y * (g - dot), fresh=True)
 
     return _make(y, "softmax", (x,), backward)
 
@@ -488,7 +514,7 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     def backward(g):
         full = np.zeros(x.shape, dtype=DEFAULT_DTYPE)
         full[index] = g
-        _accumulate(x, full)
+        _accumulate(x, full, fresh=True)
 
     return _make(data, "narrow", (x,), backward)
 
@@ -516,8 +542,10 @@ def where(cond, a, b) -> Tensor:
         raise ShapeError("where", c.shape, a.shape, b.shape) from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * c, a.shape))
-        _accumulate(b, _unbroadcast(g * (1.0 - c), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * c, a.shape), fresh=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * (1.0 - c), b.shape), fresh=True)
 
     return _make(data, "where", (a, b), backward)
 

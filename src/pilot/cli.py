@@ -136,11 +136,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _report_label(bundle, mode: str) -> str:
+    """The model label of a report, as ``references.py`` keys its rows."""
+    if mode == "pilot_mc":
+        return f"pilot_mc_{bundle.train_config.mask_mode}"
+    if mode == "mc_dropout":
+        return "mc_dropout"
+    return bundle.label
+
+
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     bundle = TrainedBundle.load(args.checkpoint)
     dataset = make_dataset(cfg)
-    model_id = bundle.label if cfg["eval.mode"] == "plain" else f"{bundle.label}_{cfg['eval.mode']}"
+    model_id = _report_label(bundle, cfg["eval.mode"])
     ecfg = cfgmod.eval_config(cfg, model_id=model_id)
     report = evaluate(bundle, dataset.x_test, dataset.y_test, ecfg)
     report.meta = {

@@ -206,8 +206,9 @@ class _DenseStack:
 
     def load_state(self, arrays):
         for i in range(len(self.weights)):
-            self.weights[i].data = arrays[f"{self.prefix}.{i}.W"]
-            self.biases[i].data = arrays[f"{self.prefix}.{i}.b"]
+            # copied, not adopted: Adam updates parameters in place
+            self.weights[i].data = np.array(arrays[f"{self.prefix}.{i}.W"])
+            self.biases[i].data = np.array(arrays[f"{self.prefix}.{i}.b"])
 
 
 class ActivationDGM:

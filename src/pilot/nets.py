@@ -306,13 +306,15 @@ class MLPClassifier(_ClassifierBase):
         return out
 
     def load_state(self, arrays):
+        # Parameters are copied, not adopted: Adam updates them in place,
+        # and the caller may keep (or train) the arrays it passed.
         for i in range(len(self.weights)):
-            self.weights[i].data = arrays[f"clf.{i}.W"]
-            self.biases[i].data = arrays[f"clf.{i}.b"]
+            self.weights[i].data = np.array(arrays[f"clf.{i}.W"])
+            self.biases[i].data = np.array(arrays[f"clf.{i}.b"])
         if self.bn is not None:
             for i, bn in enumerate(self.bn):
-                bn.gamma.data = arrays[f"clf.bn{i}.gamma"]
-                bn.beta.data = arrays[f"clf.bn{i}.beta"]
+                bn.gamma.data = np.array(arrays[f"clf.bn{i}.gamma"])
+                bn.beta.data = np.array(arrays[f"clf.bn{i}.beta"])
                 bn.running_mean = arrays[f"clf.bn{i}.running_mean"]
                 bn.running_var = arrays[f"clf.bn{i}.running_var"]
 
@@ -406,12 +408,13 @@ class CNNClassifier(_ClassifierBase):
         return out
 
     def load_state(self, arrays):
+        # Parameters are copied, not adopted (see MLPClassifier.load_state).
         for name in ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4"):
-            getattr(self, name).data = arrays[f"clf.{name}"]
+            getattr(self, name).data = np.array(arrays[f"clf.{name}"])
         if self.bn:
             for i, bn in enumerate(self.bn):
-                bn.gamma.data = arrays[f"clf.bn{i}.gamma"]
-                bn.beta.data = arrays[f"clf.bn{i}.beta"]
+                bn.gamma.data = np.array(arrays[f"clf.bn{i}.gamma"])
+                bn.beta.data = np.array(arrays[f"clf.bn{i}.beta"])
                 bn.running_mean = arrays[f"clf.bn{i}.running_mean"]
                 bn.running_var = arrays[f"clf.bn{i}.running_var"]
 

@@ -20,7 +20,10 @@ from .checkpoint import load_tensors, save_tensors
 from .dgm import ActivationDGM, DGMConfig, HyperpriorConfig
 from .masks import sample_mask
 from .nets import ClassifierSpec, build_classifier
-from .optim import Adam, clip_gradients, global_norm
+# global_norm and clip_gradients are not called here any more (Adam.step
+# clips), but stay importable from this module: perfbench's tracer wraps them
+# here.
+from .optim import Adam, clip_gradients, global_norm  # noqa: F401
 
 METHODS = ("vanilla", "pilot", "add_noise", "sub_noise", "dropout", "l2", "batch_norm", "data_aug")
 
@@ -137,6 +140,30 @@ def _finite_or_raise(value: float, label: str, context: dict):
         raise NumericsError(label, f"step diagnostics: {context}")
 
 
+def _descend(loss: Tensor, opt: Adam, cfg: TrainConfig, other: Adam | None = None,
+             leak: str = "") -> float:
+    """Backpropagate ``loss`` and take one clipped Adam step on ``opt``'s
+    group; returns the pre-clip gradient norm. ``other``'s gradients are
+    cleared first too, so under ``validate_separation`` any gradient the loss
+    leaks into that group raises ``AssertionError(leak)`` before the step."""
+    opt.zero_grad()
+    if other is not None:
+        other.zero_grad()
+    loss.backward()
+    if other is not None and cfg.validate_separation:
+        if any(p.grad is not None for p in other.params):
+            raise AssertionError(leak)
+    return opt.step(max_norm=cfg.clip_norm)
+
+
+def _classifier_update(opt: Adam, logits: Tensor, loss: Tensor, y, cfg: TrainConfig) -> dict:
+    """The shared tail of the classifier-only steps."""
+    _finite_or_raise(float(loss.data), "classifier loss", {"method": cfg.method})
+    norm = _descend(loss, opt, cfg)
+    acc = float((logits.data.argmax(axis=1) == y).mean())
+    return {"loss_act": float(loss.data), "grad_norm_psi": norm, "batch_acc": acc}
+
+
 def baseline_step(classifier, opt, x, y, cfg: TrainConfig, rng) -> dict:
     """One step of vanilla / l2 / dropout / batch_norm / data_aug training."""
     if cfg.method == "data_aug":
@@ -146,14 +173,7 @@ def baseline_step(classifier, opt, x, y, cfg: TrainConfig, rng) -> dict:
     loss = cross_entropy(logits, y)
     if cfg.method == "l2":
         loss = loss + l2_penalty(classifier, cfg.l2_lambda)
-    _finite_or_raise(float(loss.data), "classifier loss", {"method": cfg.method})
-    opt.zero_grad()
-    loss.backward()
-    grads = [p.grad for p in opt.params]
-    norm = global_norm(grads)
-    opt.step(clip_gradients(grads, cfg.clip_norm))
-    acc = float((logits.data.argmax(axis=1) == y).mean())
-    return {"loss_act": float(loss.data), "grad_norm_psi": norm, "batch_acc": acc}
+    return _classifier_update(opt, logits, loss, y, cfg)
 
 
 def noise_step(classifier, opt, x, y, cfg: TrainConfig, rng_mask, rng_noise) -> dict:
@@ -164,14 +184,7 @@ def noise_step(classifier, opt, x, y, cfg: TrainConfig, rng_mask, rng_noise) -> 
     noise = rng_noise.normal(0.0, math.sqrt(cfg.noise_variance), size=(len(x), classifier.layout.total))
     logits = classifier.forward_noised(x, mask, noise, mode, cfg.propagate_noise_gradients)
     loss = cross_entropy(logits, y)
-    _finite_or_raise(float(loss.data), "classifier loss", {"method": cfg.method})
-    opt.zero_grad()
-    loss.backward()
-    grads = [p.grad for p in opt.params]
-    norm = global_norm(grads)
-    opt.step(clip_gradients(grads, cfg.clip_norm))
-    acc = float((logits.data.argmax(axis=1) == y).mean())
-    return {"loss_act": float(loss.data), "grad_norm_psi": norm, "batch_acc": acc}
+    return _classifier_update(opt, logits, loss, y, cfg)
 
 
 def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
@@ -198,29 +211,13 @@ def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
         loss_act = loss_act * (1.0 / cfg.n_impute)
     _finite_or_raise(float(loss_act.data), "classifier loss", {"method": "pilot"})
 
-    opt_psi.zero_grad()
-    opt_dgm.zero_grad()
-    loss_act.backward()
-    if cfg.validate_separation:
-        leaked = [p for p in opt_dgm.params if p.grad is not None]
-        if leaked:
-            raise AssertionError("classifier loss leaked gradient into DGM parameters")
-    psi_grads = [p.grad for p in opt_psi.params]
-    norm_psi = global_norm(psi_grads)
-    opt_psi.step(clip_gradients(psi_grads, cfg.clip_norm))
+    norm_psi = _descend(loss_act, opt_psi, cfg, opt_dgm,
+                        "classifier loss leaked gradient into DGM parameters")
 
     lam, diag = dgm.lambda_elbo(a_flat, mask, rng=rng_z)
     loss_dgm = -lam
-    opt_psi.zero_grad()
-    opt_dgm.zero_grad()
-    loss_dgm.backward()
-    if cfg.validate_separation:
-        leaked = [p for p in opt_psi.params if p.grad is not None]
-        if leaked:
-            raise AssertionError("DGM loss leaked gradient into classifier parameters")
-    dgm_grads = [p.grad for p in opt_dgm.params]
-    norm_dgm = global_norm(dgm_grads)
-    opt_dgm.step(clip_gradients(dgm_grads, cfg.clip_norm))
+    norm_dgm = _descend(loss_dgm, opt_dgm, cfg, opt_psi,
+                        "DGM loss leaked gradient into classifier parameters")
 
     acc = float((logits.data.argmax(axis=1) == y).mean())
     return {

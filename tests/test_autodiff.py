@@ -286,3 +286,60 @@ class TestStopGradientContract:
         loss = (x * w + ad.stop_gradient(x) * 3.0).sum()
         loss.backward()
         np.testing.assert_array_equal(x.grad, w.data)  # only the unbarriered path
+
+
+BINARY_OPS = {
+    "add": lambda a, b: ad.add(a, b),
+    "sub": lambda a, b: ad.sub(a, b),
+    "mul": lambda a, b: ad.mul(a, b),
+    "div": lambda a, b: ad.div(a, b),
+    "matmul": lambda a, b: ad.matmul(a, b),
+    "where": lambda a, b: ad.where(np.array([[1.0, 0.0, 1.0]]), a, b),
+    "conv2d": lambda a, b: ad.conv2d(a, b, padding=1),
+}
+
+
+def _operands(op, rng):
+    if op == "matmul":
+        return rng.standard_normal((4, 3)), rng.standard_normal((3, 5))
+    if op == "conv2d":
+        return rng.standard_normal((2, 3, 5, 5)), rng.standard_normal((4, 3, 3, 3))
+    if op == "div":
+        return rng.standard_normal((4, 3)), rng.uniform(1.0, 2.0, (1, 3))
+    return rng.standard_normal((4, 3)), rng.standard_normal((1, 3))
+
+
+class TestGradientBookkeeping:
+    @pytest.mark.parametrize("op", sorted(BINARY_OPS))
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_constant_operand_gets_no_grad_and_other_is_unchanged(self, op, const):
+        a0, b0 = _operands(op, np.random.default_rng(7))
+
+        def grads(requires):
+            a, b = (Tensor(v, requires_grad=r) for v, r in zip((a0, b0), requires))
+            ad.square(BINARY_OPS[op](a, b)).sum().backward()
+            return a.grad, b.grad
+
+        both = grads((True, True))
+        requires = [True, True]
+        requires[const] = False
+        one = grads(requires)
+        assert one[const] is None
+        assert one[1 - const].tobytes() == both[1 - const].tobytes()
+
+    def test_passed_through_gradients_are_not_shared(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+
+    def test_view_gradients_are_owned_and_writeable(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        y = Tensor(np.ones((2, 2)), requires_grad=True)
+        parts = ad.concat([x.reshape(3, 2), y], axis=0)      # concat pieces, reshape view
+        loss = ad.tsum(parts, axis=1).sum()                  # broadcast view per row
+        loss.backward()
+        for t in (x, y):
+            assert t.grad.flags.writeable and t.grad.flags.owndata
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pilot.calibrate import CalibrationReport
-from pilot.cli import COMPARE_COLUMNS, main
+from pilot.cli import COMPARE_COLUMNS, compare_rows, main
 
 BLOB_CONFIG = """
 dataset.kind=synthetic_blobs
@@ -119,7 +119,7 @@ class TestEvalCommand:
                      "--out", str(eval_out), "--mode", "pilot_mc", "--mc-samples", "3"])
         assert code == 0
         report = CalibrationReport.from_json(eval_out / "report.json")
-        assert report.model == "pilot_a_aug_pilot_mc"
+        assert report.model == "pilot_mc_a_aug"       # the key references.py uses
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -157,6 +157,25 @@ class TestCompareCommand:
         assert pilot_row[4] == "0.701"
         assert pilot_row[5] == "0.87"
         assert pilot_row[6] == "0.012"
+
+    @pytest.mark.parametrize("method,mode,label,ref", [
+        ("pilot", "pilot_mc", "pilot_mc_a_aug", (0.598, 1.24, 0.036)),
+        ("dropout", "mc_dropout", "mc_dropout", (0.509, 2.19, 0.085)),
+    ])
+    def test_mc_report_gets_its_reference_row(self, tmp_path, method, mode, label, ref):
+        cfg = write_config(tmp_path, method=method, epochs=1)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        eval_out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(out / "checkpoints" / "epoch_0001.ckpt"),
+                     "--config", str(cfg), "--out", str(eval_out), "--mode", mode,
+                     "--mc-samples", "2"]) == 0
+        report = CalibrationReport.from_json(eval_out / "report.json")
+        assert report.model == label
+        # the reference tables cover CIFAR-10 and SVHN only, not these blobs
+        report.meta.update(arch="mlp", dataset="cifar10")
+        row = compare_rows([report])[0]
+        assert (row["ref_accuracy"], row["ref_nll"], row["ref_ece"]) == ref
 
     def test_unknown_model_leaves_reference_blank(self, tmp_path):
         from pilot.calibrate import EvalConfig, report_from_predictions

@@ -302,3 +302,27 @@ class TestDropout:
     def test_invalid_rate(self):
         with pytest.raises(ValueError, match="dropout rate"):
             dropout_mask_apply(Tensor(np.ones(3)), 1.0, np.random.default_rng(0), True)
+
+
+
+class TestLoadState:
+    @pytest.mark.parametrize("spec", [mlp_spec(), cnn_spec(),
+                                      ClassifierSpec(kind="mlp", input_shape=(6,), num_classes=3,
+                                                     hidden=(8,), batch_norm=True)])
+    def test_parameters_are_copied_not_adopted(self, spec):
+        # Adam updates parameters in place, so a loaded model must not share
+        # arrays with the state it was loaded from.
+        from pilot.dgm import ActivationDGM, DGMConfig
+
+        source = build_classifier(spec, np.random.default_rng(0))
+        copy = build_classifier(spec, np.random.default_rng(1))
+        pairs = [(source, copy)]
+        if not spec.batch_norm:
+            dgm_cfg = DGMConfig(latent_dim=2, hidden=(4,))
+            pairs.append((ActivationDGM(source.layout.total, dgm_cfg, np.random.default_rng(2)),
+                          ActivationDGM(source.layout.total, dgm_cfg, np.random.default_rng(3))))
+        for a, b in pairs:
+            b.load_state(a.state_arrays())
+            for p, q in zip(a.parameters(), b.parameters()):
+                assert np.array_equal(p.data, q.data)
+                assert not np.shares_memory(p.data, q.data)
