@@ -11,10 +11,11 @@ import os as _os
 
 # Cap BLAS threads before numpy loads anywhere in the package; single-thread
 # mode is the reproducibility contract.
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 _threads = _os.environ.get("PILOT_NUM_THREADS")
 if _threads and _threads.isdigit():
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    for _var in THREAD_ENV_VARS:
         _os.environ.setdefault(_var, _threads)
 
 from .autodiff import (  # noqa: E402

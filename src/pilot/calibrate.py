@@ -182,38 +182,48 @@ def ensemble_predict(members) -> np.ndarray:
     return mean / mean.sum(axis=1, keepdims=True)
 
 
+MC_BATCH = 512   # rows per Monte Carlo pass, as in ``predict``
+
+
 def mc_predict(bundle, x, n_samples: int, mode: str, rng) -> np.ndarray:
     """Average class probabilities over stochastic forward passes.
 
     ``pilot_mc`` draws a fresh mask and imputation per sample and runs the
     spliced pass; ``mc_dropout`` runs train-mode dropout at test time.
+
+    The input is walked in batches of ``MC_BATCH`` rows, so memory is bounded
+    by the batch, not by ``len(x)``. RNG order: batches are the outer loop
+    and draws the inner one; a ``pilot_mc`` draw takes its mask and then its
+    imputation from ``rng``, a ``mc_dropout`` draw its dropout masks, each
+    for the rows of the current batch only. An input of at most ``MC_BATCH``
+    rows is one batch.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if mode not in ("pilot_mc", "mc_dropout"):
+        raise ValueError(f"unknown mc mode {mode!r}")
+    if mode == "pilot_mc" and bundle.dgm is None:
+        raise ValueError("pilot_mc needs a trained DGM in the bundle")
     cfg = bundle.train_config
     clf = bundle.classifier
-    if mode == "pilot_mc":
-        if bundle.dgm is None:
-            raise ValueError("pilot_mc needs a trained DGM in the bundle")
-        with ad.no_grad():
-            _, record = clf.forward_record(x)
-        a_flat = record.flatten()
-        acc = np.zeros((len(x), clf.spec.num_classes))
-        for _ in range(n_samples):
-            mask = sample_mask(cfg.mask_mode, cfg.mask_rate, clf.layout, len(x), rng)
-            imputed = bundle.dgm.impute(a_flat, mask, rng)
-            with ad.no_grad():
-                logits, _ = clf.forward_spliced(record, mask, imputed)
-                acc += ad.softmax(logits, axis=1).data
-        return acc / n_samples
-    if mode == "mc_dropout":
-        acc = np.zeros((len(x), clf.spec.num_classes))
-        with ad.no_grad():
+    out = np.empty((len(x), clf.spec.num_classes))
+    with ad.no_grad():
+        for start in range(0, len(x), MC_BATCH):
+            xb = x[start : start + MC_BATCH]
+            if mode == "pilot_mc":
+                _, record = clf.forward_record(xb)
+                a_flat = record.flatten()
+            acc = np.zeros((len(xb), clf.spec.num_classes))
             for _ in range(n_samples):
-                logits = clf.forward(x, train=True, dropout_rate=cfg.dropout_rate, rng=rng)
+                if mode == "pilot_mc":
+                    mask = sample_mask(cfg.mask_mode, cfg.mask_rate, clf.layout, len(xb), rng)
+                    imputed = bundle.dgm.impute(a_flat, mask, rng)
+                    logits, _ = clf.forward_spliced(record, mask, imputed)
+                else:
+                    logits = clf.forward(xb, train=True, dropout_rate=cfg.dropout_rate, rng=rng)
                 acc += ad.softmax(logits, axis=1).data
-        return acc / n_samples
-    raise ValueError(f"unknown mc mode {mode!r}")
+            out[start : start + len(xb)] = acc / n_samples
+    return out
 
 
 def predictions_for(bundle, x, cfg: EvalConfig) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 failure. The PILOT_NUM_THREADS environment variable caps kernel
-parallelism (also applied by --deterministic, which forces one thread).
+parallelism; the package applies it on import, before numpy loads.
+--deterministic asks for one thread.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import config as cfgmod
+from . import THREAD_ENV_VARS, config as cfgmod
 from .autodiff import NumericsError
 from .calibrate import CalibrationReport, evaluate
 from .checkpoint import ContainerError
@@ -33,8 +34,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _limit_threads(n: int) -> None:
     value = str(max(1, n))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    for var in THREAD_ENV_VARS:
         os.environ.setdefault(var, value)
     try:
         import threadpoolctl
@@ -203,9 +203,6 @@ def cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    env_threads = os.environ.get("PILOT_NUM_THREADS")
-    if env_threads and env_threads.isdigit():
-        _limit_threads(int(env_threads))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

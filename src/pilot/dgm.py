@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
 from .masks import Mask
+from .nets import Registry
 
 
 @dataclass(frozen=True)
@@ -172,17 +173,18 @@ class RunningStandardizer:
 
 
 class _DenseStack:
-    """Plain relu MLP; final layer linear with damped init for stable heads."""
+    """Plain relu MLP; final layer linear with damped init for stable heads.
+    Its tensors go into ``registry`` as ``<prefix>.<i>.W`` / ``.b``."""
 
-    def __init__(self, dims, rng, prefix: str):
-        self.prefix = prefix
+    def __init__(self, dims, rng, prefix: str, registry: Registry):
         self.weights = []
         self.biases = []
         for i in range(len(dims) - 1):
             fan_in = dims[i]
             scale = np.sqrt(2.0 / fan_in) if i < len(dims) - 2 else 0.1 * np.sqrt(1.0 / fan_in)
-            self.weights.append(Tensor(rng.normal(0.0, scale, size=(dims[i], dims[i + 1])), requires_grad=True))
-            self.biases.append(Tensor(np.zeros(dims[i + 1]), requires_grad=True))
+            w = rng.normal(0.0, scale, size=(dims[i], dims[i + 1]))
+            self.weights.append(registry.param(f"{prefix}.{i}.W", w))
+            self.biases.append(registry.param(f"{prefix}.{i}.b", np.zeros(dims[i + 1])))
 
     def __call__(self, h: Tensor) -> Tensor:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -197,19 +199,6 @@ class _DenseStack:
             out += [w, b]
         return out
 
-    def state_arrays(self):
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{self.prefix}.{i}.W"] = w.data
-            out[f"{self.prefix}.{i}.b"] = b.data
-        return out
-
-    def load_state(self, arrays):
-        for i in range(len(self.weights)):
-            # copied, not adopted: Adam updates parameters in place
-            self.weights[i].data = np.array(arrays[f"{self.prefix}.{i}.W"])
-            self.biases[i].data = np.array(arrays[f"{self.prefix}.{i}.b"])
-
 
 class ActivationDGM:
     """Encoder / conditional prior / fixed-variance Gaussian decoder."""
@@ -219,9 +208,10 @@ class ActivationDGM:
         self.config = config
         dz = config.latent_dim
         hidden = list(config.hidden)
-        self.encoder = _DenseStack([2 * record_dim, *hidden, 2 * dz], rng, "enc")
-        self.prior_net = _DenseStack([2 * record_dim, *hidden, 2 * dz], rng, "pri")
-        self.decoder = _DenseStack([2 * record_dim + dz, *hidden, record_dim], rng, "dec")
+        self.registry = Registry()
+        self.encoder = _DenseStack([2 * record_dim, *hidden, 2 * dz], rng, "enc", self.registry)
+        self.prior_net = _DenseStack([2 * record_dim, *hidden, 2 * dz], rng, "pri", self.registry)
+        self.decoder = _DenseStack([2 * record_dim + dz, *hidden, record_dim], rng, "dec", self.registry)
         self.standardizer = RunningStandardizer(record_dim, enabled=config.standardize)
 
     # -- parameter groups ----------------------------------------------------
@@ -235,7 +225,7 @@ class ActivationDGM:
         return self.prior_net.parameters() + self.decoder.parameters()
 
     def parameters(self):
-        return self.phi_parameters() + self.theta_parameters()
+        return self.registry.parameters()
 
     # -- distribution heads ----------------------------------------------------
 
@@ -326,15 +316,8 @@ class ActivationDGM:
     # -- persistence -----------------------------------------------------------------
 
     def state_arrays(self) -> dict:
-        out = {}
-        out.update(self.encoder.state_arrays())
-        out.update(self.prior_net.state_arrays())
-        out.update(self.decoder.state_arrays())
-        out.update(self.standardizer.state_arrays())
-        return out
+        return {**self.registry.state_arrays(), **self.standardizer.state_arrays()}
 
     def load_state(self, arrays: dict) -> None:
-        self.encoder.load_state(arrays)
-        self.prior_net.load_state(arrays)
-        self.decoder.load_state(arrays)
+        self.registry.load_state(arrays)
         self.standardizer.load_state(arrays)

@@ -32,12 +32,6 @@ class Mask:
     def layer(self, index: int) -> np.ndarray:
         return self.values[:, self.layout.layer_slice(index)]
 
-    def is_empty(self) -> bool:
-        return not self.values.any()
-
-    def count(self) -> int:
-        return int(self.values.sum())
-
 
 def _check_mode(mode: str, rate: float) -> None:
     if mode not in MASK_MODES:

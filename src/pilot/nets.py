@@ -1,10 +1,11 @@
 """Classifier networks with per-layer recording of raw pre-activations.
 
 Layer 0 of a record is the input itself; the last layer is the logits.
-Recorded values are always pre-nonlinearity. A recorded pass can be resumed
-from any layer with masked positions replaced by externally supplied values
-(``forward_spliced``) or perturbed by additive/substitutive noise
-(``forward_noised``).
+Recorded values are always pre-nonlinearity. Both substituted passes are
+one walk (``_resume``): ``forward_spliced`` resumes a recorded pass from its
+first masked layer with imputed values at masked positions, and
+``forward_noised`` walks from the input with additive/substitutive noise
+there. Each model keeps its parameters and buffers in one ``Registry``.
 """
 
 from __future__ import annotations
@@ -91,43 +92,69 @@ class ActivationRecord:
         return out
 
 
+class Registry:
+    """Ordered name -> Tensor map of a model's parameters and buffers.
+
+    Parameters are the tensors with ``requires_grad``; buffers (batch-norm
+    running statistics) are the others. Registration order is the checkpoint
+    order, the optimiser's state index and ``global_norm``'s summation order.
+    """
+
+    def __init__(self):
+        self._tensors = {}
+
+    def add(self, name: str, tensor: Tensor) -> Tensor:
+        if name in self._tensors:
+            raise ValueError(f"tensor {name!r} registered twice")
+        self._tensors[name] = tensor
+        return tensor
+
+    def param(self, name: str, data) -> Tensor:
+        """Register a new trainable tensor holding ``data``."""
+        return self.add(name, Tensor(data, requires_grad=True))
+
+    def parameters(self):
+        return [t for t in self._tensors.values() if t.requires_grad]
+
+    def state_arrays(self) -> dict:
+        return {name: t.data for name, t in self._tensors.items()}
+
+    def load_state(self, arrays) -> None:
+        # Copied, not adopted: Adam updates parameters in place, and the
+        # caller may keep (or train) the arrays it passed.
+        for name, t in self._tensors.items():
+            t.data = np.array(arrays[name])
+
+
 class BatchNorm:
     """Feature-wise batch normalisation (2-D inputs) or channel-wise (4-D)."""
 
     def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5):
         self.gamma = Tensor(np.ones(num_features), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features), requires_grad=True)
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+        self.running_mean = Tensor(np.zeros(num_features))
+        self.running_var = Tensor(np.ones(num_features))
         self.momentum = momentum
         self.eps = eps
 
-    def _shaped(self, arr, ndim):
-        if ndim == 4:
-            return arr.reshape((1, -1, 1, 1))
-        return arr.reshape((1, -1))
-
     def apply(self, z: Tensor, train: bool) -> Tensor:
         axes = (0,) if z.ndim == 2 else (0, 2, 3)
-        gamma = ad.reshape(self.gamma, (1, -1) if z.ndim == 2 else (1, -1, 1, 1))
-        beta = ad.reshape(self.beta, (1, -1) if z.ndim == 2 else (1, -1, 1, 1))
+        shape = (1, -1) if z.ndim == 2 else (1, -1, 1, 1)
+        gamma = ad.reshape(self.gamma, shape)
+        beta = ad.reshape(self.beta, shape)
         if train:
             if z.shape[0] < 2:
                 raise ValueError("batch norm needs batch size >= 2 in training mode")
             mu = z.mean(axis=axes, keepdims=True)
             var = ad.square(z - mu).mean(axis=axes, keepdims=True)
             m = self.momentum
-            self.running_mean = m * self.running_mean + (1 - m) * mu.data.reshape(-1)
-            self.running_var = m * self.running_var + (1 - m) * var.data.reshape(-1)
-            xhat = (z - mu) / ad.sqrt(var + self.eps)
+            self.running_mean.data = m * self.running_mean.data + (1 - m) * mu.data.reshape(-1)
+            self.running_var.data = m * self.running_var.data + (1 - m) * var.data.reshape(-1)
         else:
-            mu = Tensor(self._shaped(self.running_mean, z.ndim))
-            var = Tensor(self._shaped(self.running_var, z.ndim))
-            xhat = (z - mu) / ad.sqrt(var + self.eps)
+            mu = Tensor(self.running_mean.data.reshape(shape))
+            var = Tensor(self.running_var.data.reshape(shape))
+        xhat = (z - mu) / ad.sqrt(var + self.eps)
         return gamma * xhat + beta
-
-    def parameters(self):
-        return [self.gamma, self.beta]
 
 
 def dropout_mask_apply(h: Tensor, rate: float, rng, train: bool) -> Tensor:
@@ -147,17 +174,10 @@ def _he_init(rng, fan_in, shape, scale=2.0):
     return rng.normal(0.0, np.sqrt(scale / fan_in), size=shape)
 
 
-def _as_constant(values) -> np.ndarray:
-    # Imputed/noise inputs enter the graph as constants: gradient barrier by
-    # construction, regardless of what the caller hands in.
-    if isinstance(values, Tensor):
-        return values.data
-    return np.asarray(values, dtype=ad.DEFAULT_DTYPE)
-
-
 class _ClassifierBase:
     spec: ClassifierSpec
     layout: RecordLayout
+    registry: Registry
 
     # Each subclass implements _stage(l, prev, ...): pre-activation a^l from
     # the (possibly spliced) a^{l-1}, including any nonlinearity/pooling of
@@ -167,11 +187,29 @@ class _ClassifierBase:
                dropout_rate: float = 0.0, rng=None) -> Tensor:
         raise NotImplementedError
 
+    def _batch_norms(self, widths):
+        """One BatchNorm per width when the spec asks for batch norm,
+        registered after the weights; None otherwise."""
+        if not self.spec.batch_norm:
+            return None
+        bns = [BatchNorm(w) for w in widths]
+        for i, bn in enumerate(bns):
+            for key in ("gamma", "beta", "running_mean", "running_var"):
+                self.registry.add(f"clf.bn{i}.{key}", getattr(bn, key))
+        return bns
+
     def parameters(self):
-        raise NotImplementedError
+        return self.registry.parameters()
 
     def weight_tensors(self):
-        raise NotImplementedError
+        """The parameters L2 penalises: weights, not biases or BN affines."""
+        return [p for p in self.parameters() if p.ndim > 1]
+
+    def state_arrays(self) -> dict:
+        return self.registry.state_arrays()
+
+    def load_state(self, arrays) -> None:
+        self.registry.load_state(arrays)
 
     def _input_tensor(self, x) -> Tensor:
         x = np.asarray(x, dtype=ad.DEFAULT_DTYPE)
@@ -195,6 +233,30 @@ class _ClassifierBase:
         record = ActivationRecord(layers, self.layout)
         return record.logits, record
 
+    def _layer_constant(self, values, layer: int, shape) -> Tensor:
+        # Imputed/noise inputs enter the graph as constants: gradient barrier
+        # by construction, regardless of what the caller hands in.
+        values = values.data if isinstance(values, Tensor) else np.asarray(values)
+        return Tensor(values[:, self.layout.layer_slice(layer)].reshape(shape))
+
+    def _resume(self, layers, start: int, mask, substitute):
+        """The one walk with substituted activations.
+
+        Takes layer ``start`` from ``layers`` and recomputes every later
+        layer from the one before. At each layer with masked positions,
+        ``substitute(layer, fresh)`` gives the values that replace the fresh
+        ones there. Layers before ``start`` are kept as they are. Returns
+        the list of all layers.
+        """
+        walked = list(layers[:start])
+        for l in range(start, self.layout.n_layers):
+            fresh = layers[start] if l == start else self._stage(l, walked[-1])
+            m = mask.layer(l)
+            if m.any():
+                fresh = ad.where(m.reshape(fresh.shape), substitute(l, fresh), fresh)
+            walked.append(fresh)
+        return walked
+
     def forward_spliced(self, record: ActivationRecord, mask, imputed):
         """Resume the recorded pass with imputed values at masked positions.
 
@@ -206,23 +268,12 @@ class _ClassifierBase:
         """
         if self.spec.batch_norm:
             raise NotImplementedError("splicing through batch-norm classifiers is unsupported")
-        per_layer = [mask.layer(l) for l in range(self.layout.n_layers)]
-        masked_layers = [l for l, m in enumerate(per_layer) if m.any()]
-        if not masked_layers:
+        masked = [l for l in range(self.layout.n_layers) if mask.layer(l).any()]
+        if not masked:
             return record.logits, ActivationRecord(record.layers, self.layout)
-        imputed = _as_constant(imputed)
-        first = masked_layers[0]
-        spliced = list(record.layers)
-        for l in range(first, self.layout.n_layers):
-            fresh = record.layers[l] if l == first else self._stage(l, spliced[l - 1])
-            m = per_layer[l]
-            if m.any():
-                sl = self.layout.layer_slice(l)
-                values = Tensor(imputed[:, sl].reshape(fresh.shape))
-                spliced[l] = ad.where(m.reshape(fresh.shape), values, fresh)
-            else:
-                spliced[l] = fresh
-        out = ActivationRecord(spliced, self.layout)
+        layers = self._resume(record.layers, masked[0], mask,
+                              lambda l, fresh: self._layer_constant(imputed, l, fresh.shape))
+        out = ActivationRecord(layers, self.layout)
         return out.logits, out
 
     def forward_noised(self, x, mask, noise, mode: str, propagate: bool) -> Tensor:
@@ -231,21 +282,13 @@ class _ClassifierBase:
         the stop-gradient barrier."""
         if mode not in ("add", "sub"):
             raise ValueError(f"noise mode must be 'add' or 'sub', got {mode!r}")
-        noise = _as_constant(noise)
-        cur = self._input_tensor(x)
-        for l in range(self.layout.n_layers):
-            fresh = cur if l == 0 else self._stage(l, cur)
-            m = mask.layer(l)
-            if m.any():
-                sl = self.layout.layer_slice(l)
-                nl = Tensor(noise[:, sl].reshape(fresh.shape))
-                value = nl if mode == "sub" else fresh + nl
-                if not propagate:
-                    value = ad.stop_gradient(value)
-                cur = ad.where(m.reshape(fresh.shape), value, fresh)
-            else:
-                cur = fresh
-        return cur
+
+        def substitute(l, fresh):
+            nl = self._layer_constant(noise, l, fresh.shape)
+            value = nl if mode == "sub" else fresh + nl
+            return value if propagate else ad.stop_gradient(value)
+
+        return self._resume([self._input_tensor(x)], 0, mask, substitute)[-1]
 
     def predict(self, x, batch_size: int = 512) -> np.ndarray:
         """Class probabilities, row-normalised softmax of the logits."""
@@ -260,15 +303,17 @@ class _ClassifierBase:
 class MLPClassifier(_ClassifierBase):
     def __init__(self, spec: ClassifierSpec, rng):
         self.spec = spec
+        self.registry = reg = Registry()
         in_dim = int(np.prod(spec.input_shape))
         widths = [in_dim, *spec.hidden, spec.num_classes]
         self.weights = []
         self.biases = []
         for i in range(len(widths) - 1):
             scale = 2.0 if i < len(widths) - 2 else 1.0
-            self.weights.append(Tensor(_he_init(rng, widths[i], (widths[i], widths[i + 1]), scale), requires_grad=True))
-            self.biases.append(Tensor(np.zeros(widths[i + 1]), requires_grad=True))
-        self.bn = [BatchNorm(w) for w in spec.hidden] if spec.batch_norm else None
+            w = _he_init(rng, widths[i], (widths[i], widths[i + 1]), scale)
+            self.weights.append(reg.param(f"clf.{i}.W", w))
+            self.biases.append(reg.param(f"clf.{i}.b", np.zeros(widths[i + 1])))
+        self.bn = self._batch_norms(spec.hidden)
         self.layout = RecordLayout(tuple(widths))
 
     def _stage(self, layer, prev, train=False, dropout_rate=0.0, rng=None):
@@ -280,44 +325,6 @@ class MLPClassifier(_ClassifierBase):
             z = self.bn[layer - 1].apply(z, train)
         return z
 
-    def parameters(self):
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params += [w, b]
-        if self.bn is not None:
-            for bn in self.bn:
-                params += bn.parameters()
-        return params
-
-    def weight_tensors(self):
-        return list(self.weights)
-
-    def state_arrays(self):
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"clf.{i}.W"] = w.data
-            out[f"clf.{i}.b"] = b.data
-        if self.bn is not None:
-            for i, bn in enumerate(self.bn):
-                out[f"clf.bn{i}.gamma"] = bn.gamma.data
-                out[f"clf.bn{i}.beta"] = bn.beta.data
-                out[f"clf.bn{i}.running_mean"] = bn.running_mean
-                out[f"clf.bn{i}.running_var"] = bn.running_var
-        return out
-
-    def load_state(self, arrays):
-        # Parameters are copied, not adopted: Adam updates them in place,
-        # and the caller may keep (or train) the arrays it passed.
-        for i in range(len(self.weights)):
-            self.weights[i].data = np.array(arrays[f"clf.{i}.W"])
-            self.biases[i].data = np.array(arrays[f"clf.{i}.b"])
-        if self.bn is not None:
-            for i, bn in enumerate(self.bn):
-                bn.gamma.data = np.array(arrays[f"clf.bn{i}.gamma"])
-                bn.beta.data = np.array(arrays[f"clf.bn{i}.beta"])
-                bn.running_mean = arrays[f"clf.bn{i}.running_mean"]
-                bn.running_var = arrays[f"clf.bn{i}.running_var"]
-
 
 class CNNClassifier(_ClassifierBase):
     """conv-relu-conv-relu-maxpool-dense-relu-dense, recording every
@@ -325,27 +332,26 @@ class CNNClassifier(_ClassifierBase):
 
     def __init__(self, spec: ClassifierSpec, rng):
         self.spec = spec
+        self.registry = reg = Registry()
         c_in, h, w = spec.input_shape
         c1, c2 = spec.conv_channels
         k = spec.kernel_size
-        self.w1 = Tensor(_he_init(rng, c_in * k * k, (c1, c_in, k, k)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(c1), requires_grad=True)
-        self.w2 = Tensor(_he_init(rng, c1 * k * k, (c2, c1, k, k)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(c2), requires_grad=True)
+        self.w1 = reg.param("clf.w1", _he_init(rng, c_in * k * k, (c1, c_in, k, k)))
+        self.b1 = reg.param("clf.b1", np.zeros(c1))
+        self.w2 = reg.param("clf.w2", _he_init(rng, c1 * k * k, (c2, c1, k, k)))
+        self.b2 = reg.param("clf.b2", np.zeros(c2))
         h1, w1 = h - k + 1, w - k + 1
         h2, w2 = h1 - k + 1, w1 - k + 1
         if h2 % spec.pool or w2 % spec.pool:
             raise ValueError(f"pooled map {h2}x{w2} not divisible by pool {spec.pool}")
         hp, wp = h2 // spec.pool, w2 // spec.pool
         flat = c2 * hp * wp
-        self.w3 = Tensor(_he_init(rng, flat, (flat, spec.dense_width)), requires_grad=True)
-        self.b3 = Tensor(np.zeros(spec.dense_width), requires_grad=True)
-        self.w4 = Tensor(_he_init(rng, spec.dense_width, (spec.dense_width, spec.num_classes), 1.0), requires_grad=True)
-        self.b4 = Tensor(np.zeros(spec.num_classes), requires_grad=True)
+        self.w3 = reg.param("clf.w3", _he_init(rng, flat, (flat, spec.dense_width)))
+        self.b3 = reg.param("clf.b3", np.zeros(spec.dense_width))
+        self.w4 = reg.param("clf.w4", _he_init(rng, spec.dense_width, (spec.dense_width, spec.num_classes), 1.0))
+        self.b4 = reg.param("clf.b4", np.zeros(spec.num_classes))
         self.conv_shapes = [(c1, h1, w1), (c2, h2, w2)]
-        self.bn = None
-        if spec.batch_norm:
-            self.bn = [BatchNorm(c1), BatchNorm(c2), BatchNorm(spec.dense_width)]
+        self.bn = self._batch_norms((c1, c2, spec.dense_width))
         sizes = (
             int(np.prod(spec.input_shape)),
             c1 * h1 * w1,
@@ -381,42 +387,6 @@ class CNNClassifier(_ClassifierBase):
                 h = dropout_mask_apply(h, dropout_rate, rng, train)
             return ad.matmul(h, self.w4) + self.b4
         raise ValueError(f"cnn has no stage {layer}")
-
-    def parameters(self):
-        params = [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4, self.b4]
-        if self.bn:
-            for bn in self.bn:
-                params += bn.parameters()
-        return params
-
-    def weight_tensors(self):
-        return [self.w1, self.w2, self.w3, self.w4]
-
-    def state_arrays(self):
-        out = {
-            "clf.w1": self.w1.data, "clf.b1": self.b1.data,
-            "clf.w2": self.w2.data, "clf.b2": self.b2.data,
-            "clf.w3": self.w3.data, "clf.b3": self.b3.data,
-            "clf.w4": self.w4.data, "clf.b4": self.b4.data,
-        }
-        if self.bn:
-            for i, bn in enumerate(self.bn):
-                out[f"clf.bn{i}.gamma"] = bn.gamma.data
-                out[f"clf.bn{i}.beta"] = bn.beta.data
-                out[f"clf.bn{i}.running_mean"] = bn.running_mean
-                out[f"clf.bn{i}.running_var"] = bn.running_var
-        return out
-
-    def load_state(self, arrays):
-        # Parameters are copied, not adopted (see MLPClassifier.load_state).
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4"):
-            getattr(self, name).data = np.array(arrays[f"clf.{name}"])
-        if self.bn:
-            for i, bn in enumerate(self.bn):
-                bn.gamma.data = np.array(arrays[f"clf.bn{i}.gamma"])
-                bn.beta.data = np.array(arrays[f"clf.bn{i}.beta"])
-                bn.running_mean = arrays[f"clf.bn{i}.running_mean"]
-                bn.running_var = arrays[f"clf.bn{i}.running_var"]
 
 
 def build_classifier(spec: ClassifierSpec, rng):

@@ -161,7 +161,7 @@ def _classifier_update(opt: Adam, logits: Tensor, loss: Tensor, y, cfg: TrainCon
     _finite_or_raise(float(loss.data), "classifier loss", {"method": cfg.method})
     norm = _descend(loss, opt, cfg)
     acc = float((logits.data.argmax(axis=1) == y).mean())
-    return {"loss_act": float(loss.data), "grad_norm_psi": norm, "batch_acc": acc}
+    return {"loss_act": float(loss.data), "grad_norm_psi": norm, "train_acc": acc}
 
 
 def baseline_step(classifier, opt, x, y, cfg: TrainConfig, rng) -> dict:
@@ -228,7 +228,7 @@ def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
         "penalty": diag["penalty"],
         "grad_norm_psi": norm_psi,
         "grad_norm_dgm": norm_dgm,
-        "batch_acc": acc,
+        "train_acc": acc,
     }
 
 
@@ -395,18 +395,7 @@ def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
         means = {k: v / steps_per_epoch for k, v in sums.items()}
         val_preds = classifier.predict(dataset.x_test)
         val_acc = float((val_preds.argmax(axis=1) == dataset.y_test).mean())
-        log.append(EpochStats(
-            epoch=epoch,
-            loss_act=means.get("loss_act", float("nan")),
-            loss_dgm=means.get("loss_dgm", float("nan")),
-            kl=means.get("kl", float("nan")),
-            recon=means.get("recon", float("nan")),
-            penalty=means.get("penalty", float("nan")),
-            grad_norm_psi=means.get("grad_norm_psi", float("nan")),
-            grad_norm_dgm=means.get("grad_norm_dgm", float("nan")),
-            train_acc=means.get("batch_acc", float("nan")),
-            val_acc=val_acc,
-        ))
+        log.append(EpochStats(epoch=epoch, val_acc=val_acc, **means))
         if epoch_callback is not None:
             epoch_callback(epoch, bundle, log.rows[-1])
         if checkpoint_dir is not None:

@@ -263,6 +263,35 @@ class TestMcPredict:
                                      np.random.default_rng(5))
         assert not np.array_equal(preds[False], preds[True])
 
+    def test_batches_bound_the_record_pass(self, monkeypatch):
+        # The record pass sees at most 512 rows, and the first batch of a
+        # longer input takes exactly the draws that batch would take alone.
+        bundle, _ = trained_pilot_bundle()
+        x = np.random.default_rng(3).standard_normal((600, 6))
+        clf = bundle.classifier
+        record, sizes = clf.forward_record, []
+        monkeypatch.setattr(clf, "forward_record", lambda xb: sizes.append(len(xb)) or record(xb))
+        full = mc_predict(bundle, x, 3, "pilot_mc", np.random.default_rng(4))
+        assert max(sizes) <= 512
+        head = mc_predict(bundle, x[:512], 3, "pilot_mc", np.random.default_rng(4))
+        assert full.shape == (600, 3)
+        assert full[:512].tobytes() == head.tobytes()
+        np.testing.assert_allclose(full.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_mc_dropout_batches_like_pilot_mc(self, monkeypatch):
+        ds = synth_blobs(3, 40, 6, 3.0, seed=44)
+        spec = ClassifierSpec(kind="mlp", input_shape=(6,), num_classes=3, hidden=(8,))
+        cfg = TrainConfig(method="dropout", dropout_rate=0.5, epochs=1, batch_size=32, seed=0)
+        bundle, _ = train(spec, cfg, ds)
+        x = np.random.default_rng(5).standard_normal((600, 6))
+        clf = bundle.classifier
+        forward, sizes = clf.forward, []
+        monkeypatch.setattr(clf, "forward", lambda xb, **kw: sizes.append(len(xb)) or forward(xb, **kw))
+        full = mc_predict(bundle, x, 2, "mc_dropout", np.random.default_rng(6))
+        assert max(sizes) <= 512
+        head = mc_predict(bundle, x[:512], 2, "mc_dropout", np.random.default_rng(6))
+        assert full[:512].tobytes() == head.tobytes()
+
 
 class TestEvaluate:
     def test_report_matches_manual_recount(self):

@@ -1,5 +1,7 @@
 """Recording classifiers: forward variants, splicing, batch norm, dropout."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,7 +310,8 @@ class TestDropout:
 class TestLoadState:
     @pytest.mark.parametrize("spec", [mlp_spec(), cnn_spec(),
                                       ClassifierSpec(kind="mlp", input_shape=(6,), num_classes=3,
-                                                     hidden=(8,), batch_norm=True)])
+                                                     hidden=(8,), batch_norm=True),
+                                      dataclasses.replace(cnn_spec(), batch_norm=True)])
     def test_parameters_are_copied_not_adopted(self, spec):
         # Adam updates parameters in place, so a loaded model must not share
         # arrays with the state it was loaded from.
@@ -326,3 +329,58 @@ class TestLoadState:
             for p, q in zip(a.parameters(), b.parameters()):
                 assert np.array_equal(p.data, q.data)
                 assert not np.shares_memory(p.data, q.data)
+
+
+def _bn_keys(i):
+    return [f"clf.bn{i}.{k}" for k in ("gamma", "beta", "running_mean", "running_var")]
+
+
+class TestRegistry:
+    """The registry order is the checkpoint order and the optimiser's state
+    index, so the names and their order are pinned."""
+
+    @pytest.mark.parametrize("spec, keys", [
+        (mlp_spec(), ["clf.0.W", "clf.0.b", "clf.1.W", "clf.1.b", "clf.2.W", "clf.2.b"]),
+        (ClassifierSpec(kind="mlp", input_shape=(6,), num_classes=3, hidden=(8, 5), batch_norm=True),
+         ["clf.0.W", "clf.0.b", "clf.1.W", "clf.1.b", "clf.2.W", "clf.2.b"] + _bn_keys(0) + _bn_keys(1)),
+        (dataclasses.replace(cnn_spec(), batch_norm=True),
+         ["clf.w1", "clf.b1", "clf.w2", "clf.b2", "clf.w3", "clf.b3", "clf.w4", "clf.b4"]
+         + _bn_keys(0) + _bn_keys(1) + _bn_keys(2)),
+    ])
+    def test_classifier_state_order(self, spec, keys):
+        clf = build_classifier(spec, np.random.default_rng(0))
+        state = clf.state_arrays()
+        assert list(state) == keys
+        params = clf.parameters()
+        assert [id(p.data) for p in params] == [id(state[k]) for k in keys if "running" not in k]
+        assert all(p.requires_grad for p in params)
+
+    def test_batch_norm_statistics_are_buffers(self):
+        spec = dataclasses.replace(cnn_spec(), batch_norm=True)
+        clf = build_classifier(spec, np.random.default_rng(0))
+        params = {id(p) for p in clf.parameters()}
+        for bn in clf.bn:
+            assert not bn.running_mean.requires_grad and id(bn.running_mean) not in params
+            assert not bn.running_var.requires_grad and id(bn.running_var) not in params
+
+    def test_weight_tensors_are_the_weights(self):
+        mlp = build_classifier(ClassifierSpec(kind="mlp", input_shape=(6,), num_classes=3,
+                                              hidden=(8,), batch_norm=True), np.random.default_rng(0))
+        assert [id(w) for w in mlp.weight_tensors()] == [id(w) for w in mlp.weights]
+        cnn = build_classifier(dataclasses.replace(cnn_spec(), batch_norm=True), np.random.default_rng(0))
+        assert [id(w) for w in cnn.weight_tensors()] == [id(w) for w in (cnn.w1, cnn.w2, cnn.w3, cnn.w4)]
+
+    def test_dgm_state_order(self):
+        from pilot.dgm import ActivationDGM, DGMConfig
+
+        model = ActivationDGM(7, DGMConfig(latent_dim=2, hidden=(4,)), np.random.default_rng(0))
+        stacks = [f"{net}.{i}.{k}" for net in ("enc", "pri", "dec") for i in range(2) for k in ("W", "b")]
+        assert list(model.state_arrays()) == stacks + ["std.mean", "std.m2", "std.state"]
+        ids = [id(p) for p in model.parameters()]
+        assert ids == [id(p) for p in model.phi_parameters() + model.theta_parameters()]
+        assert [id(p.data) for p in model.parameters()] == [id(model.state_arrays()[k]) for k in stacks]
+
+    def test_duplicate_name_rejected(self):
+        clf = build_classifier(mlp_spec(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="registered twice"):
+            clf.registry.add("clf.0.W", Tensor(np.zeros(1)))
