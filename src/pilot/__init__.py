@@ -8,6 +8,7 @@ Subpackages: ``autodiff`` (reverse-mode AD), ``optim`` (Adam, clipping),
 """
 
 import os as _os
+import sys as _sys
 
 # Cap BLAS threads before numpy loads anywhere in the package; single-thread
 # mode is the reproducibility contract.
@@ -17,6 +18,9 @@ _threads = _os.environ.get("PILOT_NUM_THREADS")
 if _threads and _threads.isdigit():
     for _var in THREAD_ENV_VARS:
         _os.environ.setdefault(_var, _threads)
+# True when numpy loads below under a one-thread cap, as --deterministic asks.
+BLAS_CAPPED_AT_LOAD = "numpy" not in _sys.modules and all(
+    _os.environ.get(_var) == "1" for _var in THREAD_ENV_VARS[:3])
 
 from .autodiff import (  # noqa: E402
     NumericsError,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float64
 
@@ -310,11 +311,34 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
+# Rows of a batch per im2col block: the patch matrices of one block are all a
+# convolution holds at a time, whatever the batch size.
+CONV_BLOCK_ROWS = 4
+
+
+def _patches(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """im2col: (rows, C*kh*kw, OH*OW) patch matrices of a padded block."""
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))   # (B, C, OH, OW, kh, kw)
+    b, c, oh, ow = windows.shape[:4]
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
+
+
 def conv2d(x, w, padding: int = 0) -> Tensor:
     """2-D convolution, stride 1, ``padding`` zero-pad pixels each side.
 
-    ``x`` is (N, C, H, W), ``w`` is (O, C, kh, kw). Bias is not fused; add a
-    broadcast tensor afterwards.
+    ``x`` is (N, C, H, W), ``w`` is (O, C, kh, kw); the output is a
+    contiguous (N, O, OH, OW). Bias is not fused; add a broadcast tensor
+    afterwards.
+
+    Each pass walks the batch in blocks of :data:`CONV_BLOCK_ROWS` rows. A
+    block's input becomes (rows, C*kh*kw, OH*OW) patch matrices (im2col), and
+    the forward output is one matmul of the (O, C*kh*kw) weight matrix with
+    them. Backward rebuilds the patches from the padded input instead of
+    keeping them in the graph: dW is a GEMM of the gradient with the patches,
+    and dx is W^T @ g followed by col2im, kh*kw strided adds. A block's
+    temporaries (patches, and W^T @ g) hold ``CONV_BLOCK_ROWS * C*kh*kw *
+    OH*OW`` values each: apart from x, the output and the gradients, memory
+    does not grow with the batch.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
@@ -329,28 +353,30 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    out = np.zeros((n, o, oh, ow), dtype=DEFAULT_DTYPE)
-    for dy in range(kh):
-        for dx in range(kw):
-            out += np.einsum(
-                "ncyx,oc->noyx", xp[:, :, dy : dy + oh, dx : dx + ow], w.data[:, :, dy, dx]
-            )
+    w2 = w.data.reshape(o, c * kh * kw)
+    blocks = [slice(s, min(n, s + CONV_BLOCK_ROWS)) for s in range(0, n, CONV_BLOCK_ROWS)]
+    out = np.empty((n, o, oh, ow), dtype=DEFAULT_DTYPE)
+    out_rows = out.reshape(n, o, oh * ow)
+    for rows in blocks:
+        np.matmul(w2, _patches(xp[rows], kh, kw), out=out_rows[rows])
 
     def backward(g):
-        if w.requires_grad:
-            dw = np.zeros_like(w.data)
-            for dy in range(kh):
-                for dx in range(kw):
-                    patch = xp[:, :, dy : dy + oh, dx : dx + ow]
-                    dw[:, :, dy, dx] = np.einsum("noyx,ncyx->oc", g, patch)
-            _accumulate(w, dw, fresh=True)
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for dy in range(kh):
-                for dx in range(kw):
-                    dxp[:, :, dy : dy + oh, dx : dx + ow] += np.einsum(
-                        "noyx,oc->ncyx", g, w.data[:, :, dy, dx]
-                    )
+        g_rows = g.reshape(n, o, oh * ow)
+        dw = np.zeros_like(w2) if w.requires_grad else None
+        dxp = np.zeros_like(xp) if x.requires_grad else None
+        for rows in blocks:
+            if dw is not None:
+                cols = _patches(xp[rows], kh, kw)
+                dw += np.matmul(g_rows[rows], cols.transpose(0, 2, 1)).sum(axis=0)
+            if dxp is not None:
+                dcols = np.matmul(w2.T, g_rows[rows]).reshape(-1, c, kh, kw, oh, ow)
+                block = dxp[rows]
+                for dy in range(kh):
+                    for dx in range(kw):
+                        block[:, :, dy : dy + oh, dx : dx + ow] += dcols[:, :, dy, dx]
+        if dw is not None:
+            _accumulate(w, dw.reshape(w.shape), fresh=True)
+        if dxp is not None:
             if padding:   # a strided view into the padded array: copied
                 _accumulate(x, dxp[:, :, padding:-padding, padding:-padding])
             else:
@@ -362,19 +388,24 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
 def max_pool2d(x, k: int) -> Tensor:
     """Non-overlapping k*k max pooling; H and W must divide by k.
 
-    Ties route gradient to every maximal position in the window.
+    The output is the elementwise maximum of the k*k strided slices
+    ``x[:, :, i::k, j::k]``. Ties route gradient to every maximal position in
+    the window.
     """
     x = as_tensor(x)
     if x.ndim != 4 or x.shape[2] % k or x.shape[3] % k:
         raise ShapeError("max_pool2d", x.shape, (k, k))
-    n, c, h, w = x.shape
-    windows = x.data.reshape(n, c, h // k, k, w // k, k)
-    out = windows.max(axis=(3, 5))
+    taps = [(slice(None), slice(None), slice(i, None, k), slice(j, None, k))
+            for i in range(k) for j in range(k)]
+    out = x.data[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, x.data[tap], out=out)
 
     def backward(g):
-        mask = windows == out[:, :, :, None, :, None]
-        dx = mask * g[:, :, :, None, :, None]
-        _accumulate(x, dx.reshape(n, c, h, w), fresh=True)
+        dx = np.empty_like(x.data)
+        for tap in taps:
+            dx[tap] = (x.data[tap] == out) * g
+        _accumulate(x, dx, fresh=True)
 
     return _make(out, "max_pool2d", (x,), backward)
 

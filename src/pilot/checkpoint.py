@@ -10,12 +10,16 @@ prediction matrices.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
+from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"PTC1"
 VERSION = 1
+_ALIGN = 64
 
 
 class ContainerError(ValueError):
@@ -23,56 +27,88 @@ class ContainerError(ValueError):
 
 
 def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
+    """Write a container to ``path`` atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` (``os.replace``). A write that fails midway removes the
+    temporary file and leaves any earlier file at ``path`` as it was.
+    Payloads are written straight from the arrays, with no bytes copy.
+    """
     entries = []
-    payloads = []
+    arrays = []
     offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr)
-        dtype = arr.dtype.newbyteorder("<")
-        payload = arr.astype(dtype, copy=False).tobytes()
+        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         entries.append(
             {
                 "name": str(name),
-                "dtype": dtype.str,
+                "dtype": arr.dtype.str,
                 "shape": list(arr.shape),
                 "offset": offset,
-                "nbytes": len(payload),
+                "nbytes": arr.nbytes,
             }
         )
-        payloads.append(payload)
-        offset += len(payload)
+        arrays.append(arr)
+        offset += arr.nbytes
     header = {"version": VERSION, "meta": meta or {}, "tensors": entries}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for payload in payloads:
-            fh.write(payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for arr in arrays:
+                fh.write(arr.data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _aligned_buffer(nbytes: int) -> np.ndarray:
+    """A writeable uint8 buffer whose first byte is 64-byte aligned, so that
+    the arrays viewed from it are aligned (BLAS needs that) wherever the
+    header ends."""
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start : start + nbytes]
 
 
 def load_tensors(path):
-    """Load a container; returns ``(tensors, meta)``."""
+    """Load a container; returns ``(tensors, meta)``.
+
+    The payloads are read once into one writeable buffer and every tensor is
+    a view of it, so peak memory is about the file size. A tensor whose
+    offset leaves it misaligned for its dtype is copied out instead. Any one
+    view keeps the whole buffer alive: a caller that keeps a tensor beyond
+    the load, but not the rest, copies it.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8 or raw[:4] != MAGIC:
-        raise ContainerError(f"{path}: not a tensor container (bad magic)")
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + header_len:
-        raise ContainerError(f"{path}: truncated header at byte {len(raw)}")
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ContainerError(f"{path}: unreadable header: {err}") from None
-    if header.get("version") != VERSION:
-        raise ContainerError(f"{path}: unsupported container version {header.get('version')!r}")
-    base = 8 + header_len
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != MAGIC:
+            raise ContainerError(f"{path}: not a tensor container (bad magic)")
+        (header_len,) = struct.unpack("<I", head[4:8])
+        if size < 8 + header_len:
+            raise ContainerError(f"{path}: truncated header at byte {size}")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ContainerError(f"{path}: unreadable header: {err}") from None
+        if header.get("version") != VERSION:
+            raise ContainerError(f"{path}: unsupported container version {header.get('version')!r}")
+        base = 8 + header_len
+        payload = _aligned_buffer(size - base)
+        size = base + fh.readinto(payload)
     tensors = {}
     for entry in header["tensors"]:
-        start = base + entry["offset"]
+        start = entry["offset"]
         stop = start + entry["nbytes"]
-        if stop > len(raw):
-            raise ContainerError(f"{path}: truncated payload for {entry['name']!r} at byte {len(raw)}")
-        arr = np.frombuffer(raw[start:stop], dtype=np.dtype(entry["dtype"]))
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        if base + stop > size:
+            raise ContainerError(f"{path}: truncated payload for {entry['name']!r} at byte {size}")
+        arr = payload[start:stop].view(np.dtype(entry["dtype"])).reshape(entry["shape"])
+        tensors[entry["name"]] = arr if arr.flags.aligned else arr.copy()
     return tensors, header.get("meta", {})

@@ -3,17 +3,21 @@
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 failure. The PILOT_NUM_THREADS environment variable caps kernel
 parallelism; the package applies it on import, before numpy loads.
---deterministic asks for one thread.
+--deterministic asks for one BLAS thread. The `pilot` command restarts
+itself under that cap when numpy loaded without it (``pilot.__main__``); a
+caller of :func:`main` gets it through OpenBLAS's own setter for the length
+of the command, or exit 1 where there is none.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
+import ctypes
 import sys
 from pathlib import Path
 
-from . import THREAD_ENV_VARS, config as cfgmod
+from . import BLAS_CAPPED_AT_LOAD, config as cfgmod
 from .autodiff import NumericsError
 from .calibrate import CalibrationReport, evaluate
 from .checkpoint import ContainerError
@@ -32,16 +36,52 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _limit_threads(n: int) -> None:
-    value = str(max(1, n))
-    for var in THREAD_ENV_VARS:
-        os.environ.setdefault(var, value)
-    try:
-        import threadpoolctl
+# (getter, setter) pairs: plain OpenBLAS, and the symbol-prefixed build
+# that numpy's wheels bundle.
+_OPENBLAS_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
 
-        threadpoolctl.threadpool_limits(limits=max(1, n))
-    except ImportError:
-        pass
+
+def _loaded_openblas():
+    """(get, set) thread-count functions of the OpenBLAS this process has
+    loaded, found through /proc/self/maps; None when there is none."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, put in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, put):
+                return getattr(lib, get), getattr(lib, put)
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one BLAS thread (--deterministic)."""
+    if BLAS_CAPPED_AT_LOAD:
+        yield
+        return
+    blas = _loaded_openblas()
+    if blas is None:
+        raise UsageError("--deterministic: numpy's BLAS was loaded before the one-thread cap "
+                         "and cannot be capped now; set OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 "
+                         "MKL_NUM_THREADS=1 before starting, or run the pilot command")
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def build_parser() -> _Parser:
@@ -111,8 +151,6 @@ def _resolve_config(args) -> dict:
         cfg["eval.mc_samples"] = args.mc_samples
     if getattr(args, "mode", None):
         cfgmod.set_key(cfg, "eval.mode", args.mode)
-    if getattr(args, "deterministic", False):
-        _limit_threads(1)
     return cfg
 
 
@@ -206,11 +244,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        return cmd_compare(args)
+        if args.command == "compare":
+            return cmd_compare(args)
+        with _one_blas_thread() if args.deterministic else contextlib.nullcontext():
+            return cmd_train(args) if args.command == "train" else cmd_eval(args)
     except (UsageError, ConfigError, ValueError) as err:
         if isinstance(err, (DataError, ContainerError)):
             print(f"data error: {err}", file=sys.stderr)

@@ -165,8 +165,10 @@ class RunningStandardizer:
         }
 
     def load_state(self, arrays: dict) -> None:
-        self.mean = arrays["std.mean"]
-        self.m2 = arrays["std.m2"]
+        # Copied, not adopted: a loaded array may be a view that keeps a
+        # whole checkpoint's buffer alive.
+        self.mean = np.array(arrays["std.mean"])
+        self.m2 = np.array(arrays["std.m2"])
         self.count, frozen, enabled = arrays["std.state"]
         self.frozen = bool(frozen)
         self.enabled = bool(enabled)
@@ -244,6 +246,13 @@ class ActivationDGM:
         x = np.concatenate([observed, mask.values], axis=1)
         return self._split(self.prior_net(Tensor(x)))
 
+    def condition(self, a_flat: np.ndarray, mask: Mask):
+        """The standardised record and its prior p(z | a_(1-b), b), as the
+        ``(a_std, prior)`` pair that :meth:`impute` and :meth:`lambda_elbo`
+        take as ``prior=``, so that both share one prior pass."""
+        a_std = self.standardizer.transform(np.asarray(a_flat))
+        return a_std, self.prior(a_std, mask)
+
     def decode_mean(self, a_std: np.ndarray, mask: Mask, z: Tensor) -> Tensor:
         observed = Tensor(np.asarray(a_std) * (1.0 - mask.values))
         x = ad.concat([observed, Tensor(mask.values), z], axis=1)
@@ -251,19 +260,18 @@ class ActivationDGM:
 
     # -- objectives --------------------------------------------------------------
 
-    def lambda_elbo(self, a_flat: np.ndarray, mask: Mask, rng=None, eps=None):
+    def lambda_elbo(self, a_flat: np.ndarray, mask: Mask, rng=None, eps=None, *, prior=None):
         """Per-example ELBO for the masked record, averaged over the batch.
 
         Returns ``(scalar Tensor, diagnostics)`` where diagnostics expose the
         reconstruction, KL, and penalty terms as floats. ``eps`` pins the
         reparameterisation noise (one (batch, dz) array per z sample) for
-        deterministic gradient checks.
+        deterministic gradient checks. ``prior`` is :meth:`condition`'s pair
+        for this record and mask, built with gradients enabled.
         """
-        a_flat = np.asarray(a_flat)
-        a_std = self.standardizer.transform(a_flat)
+        a_std, p = self.condition(a_flat, mask) if prior is None else prior
         q = self.encode(a_std, mask)
-        p = self.prior(a_std, mask)
-        n, dz = a_flat.shape[0], self.config.latent_dim
+        n, dz = a_std.shape[0], self.config.latent_dim
         n_z = self.config.n_z
         if eps is None:
             if rng is None:
@@ -292,20 +300,20 @@ class ActivationDGM:
                 raise NumericsError(name, "elbo term")
         return lam, diag
 
-    def impute(self, a_flat: np.ndarray, mask: Mask, rng, sample: bool | None = None) -> np.ndarray:
+    def impute(self, a_flat: np.ndarray, mask: Mask, rng, sample: bool | None = None,
+               *, prior=None) -> np.ndarray:
         """Generate values for the masked positions via the conditional prior.
 
         Never consults the encoder. Returns a (batch, total) array whose
         entries are meaningful only where the mask is 1 (decoder mean by
         default; ``sample=True`` adds decoder-variance noise; ``None``
-        follows ``config.impute_sample``).
+        follows ``config.impute_sample``). ``prior`` is :meth:`condition`'s
+        pair for this record and mask; none of its graph is extended here.
         """
         if sample is None:
             sample = self.config.impute_sample
-        a_flat = np.asarray(a_flat)
         with ad.no_grad():
-            a_std = self.standardizer.transform(a_flat)
-            p = self.prior(a_std, mask)
+            a_std, p = self.condition(a_flat, mask) if prior is None else prior
             e = rng.standard_normal(p.mean.shape)
             z = reparam_sample(p, e)
             mean = self.decode_mean(a_std, mask, z).data

@@ -200,10 +200,12 @@ def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
     dgm.standardizer.update(a_flat)
 
     mask = sample_mask(cfg.mask_mode, cfg.mask_rate, classifier.layout, len(x), rng_mask)
+    # One prior pass for the step's mask feeds both its imputation and the ELBO.
+    shared = dgm.condition(a_flat, mask)
     loss_act = None
     for k in range(cfg.n_impute):
         mk = mask if k == 0 else sample_mask(cfg.mask_mode, cfg.mask_rate, classifier.layout, len(x), rng_mask)
-        imputed = dgm.impute(a_flat, mk, rng_z)
+        imputed = dgm.impute(a_flat, mk, rng_z, prior=shared if k == 0 else None)
         spliced_logits, _ = classifier.forward_spliced(record, mk, imputed)
         term = cross_entropy(spliced_logits, y)
         loss_act = term if loss_act is None else loss_act + term
@@ -214,7 +216,7 @@ def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
     norm_psi = _descend(loss_act, opt_psi, cfg, opt_dgm,
                         "classifier loss leaked gradient into DGM parameters")
 
-    lam, diag = dgm.lambda_elbo(a_flat, mask, rng=rng_z)
+    lam, diag = dgm.lambda_elbo(a_flat, mask, rng=rng_z, prior=shared)
     loss_dgm = -lam
     norm_dgm = _descend(loss_dgm, opt_dgm, cfg, opt_psi,
                         "DGM loss leaked gradient into classifier parameters")

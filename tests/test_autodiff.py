@@ -343,3 +343,87 @@ class TestGradientBookkeeping:
         for t in (x, y):
             assert t.grad.flags.writeable and t.grad.flags.owndata
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+
+# -- blocked kernels against the per-tap code they replaced -----------------------------
+
+
+def _conv2d_oracle(x, w, padding, g):
+    """Per-tap einsum convolution: output, dx and dw for upstream ``g``."""
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.zeros((x.shape[0], o, oh, ow))
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for dy in range(kh):
+        for dx in range(kw):
+            patch = xp[:, :, dy : dy + oh, dx : dx + ow]
+            out += np.einsum("ncyx,oc->noyx", patch, w[:, :, dy, dx])
+            dw[:, :, dy, dx] = np.einsum("noyx,ncyx->oc", g, patch)
+            dxp[:, :, dy : dy + oh, dx : dx + ow] += np.einsum("noyx,oc->ncyx", g, w[:, :, dy, dx])
+    return out, dxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]], dw
+
+
+def _max_pool2d_oracle(x, k, g):
+    """Reshape-max pooling: output and dx for upstream ``g``."""
+    n, c, h, w = x.shape
+    windows = x.reshape(n, c, h // k, k, w // k, k)
+    out = windows.max(axis=(3, 5))
+    mask = windows == out[:, :, :, None, :, None]
+    return out, (mask * g[:, :, :, None, :, None]).reshape(n, c, h, w)
+
+
+def _close(a, b, rel=1e-12):
+    return np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
+class TestBlockedKernels:
+    ROWS = ad.CONV_BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS + 1])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("fill", ["random", "const_x", "const_w"])
+    def test_conv2d_matches_per_tap_oracle(self, n, padding, fill):
+        rng = np.random.default_rng(n * 10 + padding)
+        x0 = rng.standard_normal((n, 3, 7, 5))          # rectangular input
+        w0 = rng.standard_normal((4, 3, 3, 2))          # and kernel
+        if fill == "const_x":
+            x0 = np.full_like(x0, 1.5)
+        elif fill == "const_w":
+            w0 = np.full_like(w0, -0.25)
+        x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        y = ad.conv2d(x, w, padding=padding)
+        g = rng.standard_normal(y.shape)
+        (y * Tensor(g)).sum().backward()
+        out, dx, dw = _conv2d_oracle(x0, w0, padding, g)
+        assert y.data.shape == out.shape and y.data.flags.c_contiguous
+        assert _close(y.data, out) and _close(x.grad, dx) and _close(w.grad, dw)
+
+    def test_conv2d_blocks_bound_the_patch_matrices(self, monkeypatch):
+        widths = []
+        real = ad._patches
+
+        def spy(xp, kh, kw):
+            widths.append(xp.shape[0])
+            return real(xp, kh, kw)
+
+        monkeypatch.setattr(ad, "_patches", spy)
+        x = Tensor(np.ones((3 * self.ROWS + 2, 2, 5, 5)), requires_grad=True)
+        w = Tensor(np.ones((2, 2, 3, 3)), requires_grad=True)
+        ad.conv2d(x, w).sum().backward()
+        assert max(widths) == self.ROWS and sum(widths) == 2 * x.shape[0]   # forward, dw
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_max_pool2d_bit_identical_with_ties(self, k):
+        rng = np.random.default_rng(k)
+        # relu of a coarse grid: most entries are exact zeros, the rest tie often
+        raw = np.round(rng.standard_normal((2, 3, 6, 12)) * 2.0) / 2.0 - 0.5
+        x = Tensor(ad.relu(Tensor(raw)).data, requires_grad=True)
+        y = ad.max_pool2d(x, k)
+        g = rng.standard_normal(y.shape)
+        (y * Tensor(g)).sum().backward()
+        out, dx = _max_pool2d_oracle(x.data, k, g)
+        assert (x.data == 0).mean() > 0.5 and (y.data == 0).any()
+        assert y.data.tobytes() == out.tobytes()
+        assert x.grad.tobytes() == dx.tobytes()

@@ -2,10 +2,12 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pilot import checkpoint
 from pilot.checkpoint import MAGIC, ContainerError, load_tensors, save_tensors
 
 
@@ -80,3 +82,68 @@ class TestMalformedInputs:
         path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
         with pytest.raises(ContainerError, match="version"):
             load_tensors(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ptc"
+        save_tensors(path, {"a": np.arange(10.0)}, {"v": 1})
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that takes the first two writes, then fails."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", lambda *a: DiskFull(open(*a)), raising=False)
+        with pytest.raises(OSError, match="space"):
+            save_tensors(path, {"a": np.zeros(10), "b": np.ones(5)}, {"v": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ptc"]
+
+    def test_overwrite_leaves_only_the_new_file(self, tmp_path):
+        path = tmp_path / "model.ptc"
+        save_tensors(path, {"a": np.zeros(3)})
+        save_tensors(path, {"a": np.ones(3)})
+        np.testing.assert_array_equal(load_tensors(path)[0]["a"], np.ones(3))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ptc"]
+
+
+class TestSingleCopyLoad:
+    def test_peak_memory_about_the_file_size(self, tmp_path):
+        path = tmp_path / "big.ptc"
+        save_tensors(path, {"w": np.ones((500, 1000)), "b": np.zeros(1000)})
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            tensors, _ = load_tensors(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size            # reading plus a copy of every tensor is 2x
+        np.testing.assert_array_equal(tensors["w"], np.ones((500, 1000)))
+
+    @pytest.mark.parametrize("meta", [{}, {"k": "x"}, {"k": "xyz"}])
+    def test_arrays_aligned_and_writeable_whatever_the_header_length(self, tmp_path, meta):
+        path = tmp_path / "a.ptc"
+        save_tensors(path, {"u8": np.arange(3, dtype=np.uint8), "f64": np.arange(4.0),
+                            "i32": np.arange(5, dtype=np.int32)}, meta)
+        tensors, _ = load_tensors(path)
+        for arr in tensors.values():
+            assert arr.flags.aligned and arr.flags.writeable
+        tensors["f64"][0] = 7.0
+        np.testing.assert_array_equal(tensors["f64"], [7.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(tensors["i32"], np.arange(5))

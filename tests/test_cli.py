@@ -1,12 +1,19 @@
 """End-to-end CLI: train/eval/compare commands, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pilot import THREAD_ENV_VARS, cli
 from pilot.calibrate import CalibrationReport
 from pilot.cli import COMPARE_COLUMNS, compare_rows, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BLOB_CONFIG = """
 dataset.kind=synthetic_blobs
@@ -192,3 +199,71 @@ class TestCompareCommand:
 
     def test_missing_report_is_data_error(self, tmp_path):
         assert main(["compare", str(tmp_path / "nope.json")]) == 2
+
+
+# Loaded at interpreter start: after the command has run, count the threads of
+# the process that ran it (the one left after any re-exec).
+THREAD_COUNT_HOOK = """
+import atexit, os
+
+
+def _report():
+    import numpy as np
+    a = np.ones((400, 400))
+    a @ a
+    print("threads", len(os.listdir("/proc/self/task")))
+
+
+atexit.register(_report)
+"""
+
+CONSOLE_SCRIPT = """
+import sys
+from pilot.__main__ import main
+sys.exit(main())
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+class TestDeterministicThreads:
+    def _threads(self, tmp_path, entry, *flags):
+        (tmp_path / "sitecustomize.py").write_text(THREAD_COUNT_HOOK)
+        (tmp_path / "pilot").write_text(CONSOLE_SCRIPT)
+        entry = ["-m", "pilot"] if entry == "module" else [str(tmp_path / "pilot")]
+        env = {k: v for k, v in os.environ.items()
+               if k not in THREAD_ENV_VARS + ("PILOT_NUM_THREADS",)}
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), SRC])
+        cfg = write_config(tmp_path, epochs=1)
+        run = subprocess.run([sys.executable, *entry, "train", "--config", str(cfg),
+                              "--out", str(tmp_path / "run"), *flags],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        return int(run.stdout.rsplit("threads", 1)[1])
+
+    @pytest.mark.parametrize("entry", ["module", "console_script"])
+    def test_command_caps_blas_threads(self, tmp_path, entry):
+        assert self._threads(tmp_path, entry, "--deterministic") == 1
+        if (os.cpu_count() or 1) > 1:       # the same run without the flag is threaded
+            assert self._threads(tmp_path, entry) > 1
+
+    def test_in_process_call_capped_for_the_command_only(self, tmp_path, monkeypatch):
+        blas = cli._loaded_openblas()
+        if blas is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get, _ = blas
+        before = get()
+        seen = []
+        real = cli.cmd_train
+        monkeypatch.setattr(cli, "BLAS_CAPPED_AT_LOAD", False)
+        monkeypatch.setattr(cli, "cmd_train", lambda args: seen.append(get()) or real(args))
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r"), "--deterministic"]) == 0
+        assert seen == [1] and get() == before
+
+    def test_uncappable_blas_exits_1_naming_the_cause(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "BLAS_CAPPED_AT_LOAD", False)
+        monkeypatch.setattr(cli, "_loaded_openblas", lambda: None)
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r"), "--deterministic"]) == 1
+        assert "--deterministic" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()

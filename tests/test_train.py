@@ -138,6 +138,68 @@ class TestGradientSeparation:
             # (updates above came only from each group's own optimiser)
 
 
+def _two_pass_pilot_step(clf, dgm, opt_psi, opt_dgm, x, y, cfg, rng_mask, rng_z):
+    """Oracle: the joint step as it ran with separate prior passes for the
+    imputation and the ELBO (same draws, same order)."""
+    logits, record = clf.forward_record(x)
+    a_flat = record.flatten()
+    dgm.standardizer.update(a_flat)
+    mask = sample_mask(cfg.mask_mode, cfg.mask_rate, clf.layout, len(x), rng_mask)
+    imputed = dgm.impute(a_flat, mask, rng_z)
+    spliced, _ = clf.forward_spliced(record, mask, imputed)
+    loss_act = cross_entropy(spliced, y)
+    opt_psi.zero_grad()
+    opt_dgm.zero_grad()
+    loss_act.backward()
+    norm_psi = opt_psi.step(max_norm=cfg.clip_norm)
+    lam, diag = dgm.lambda_elbo(a_flat, mask, rng=rng_z)
+    opt_dgm.zero_grad()
+    opt_psi.zero_grad()
+    (-lam).backward()
+    norm_dgm = opt_dgm.step(max_norm=cfg.clip_norm)
+    return {"loss_act": float(loss_act.data), "loss_dgm": float(-lam.data), "kl": diag["kl"],
+            "recon": diag["recon"], "penalty": diag["penalty"], "grad_norm_psi": norm_psi,
+            "grad_norm_dgm": norm_dgm,
+            "train_acc": float((logits.data.argmax(axis=1) == y).mean())}
+
+
+class TestSharedPriorPass:
+    def _world(self):
+        ds, spec = blob_setup(seed=6)
+        clf = build_classifier(spec, np.random.default_rng(6))
+        dgm = ActivationDGM(clf.layout.total, DGMConfig(latent_dim=4, hidden=(16,)),
+                            np.random.default_rng(7))
+        return ds, clf, dgm, Adam(clf.parameters(), 1e-2), Adam(dgm.parameters(), 1e-2)
+
+    @pytest.mark.parametrize("n_impute", [1, 3])
+    def test_one_prior_call_per_mask(self, monkeypatch, n_impute):
+        calls = []
+        real = ActivationDGM.prior
+        monkeypatch.setattr(ActivationDGM, "prior",
+                            lambda self, *a: calls.append(1) or real(self, *a))
+        ds, clf, dgm, opt_psi, opt_dgm = self._world()
+        cfg = TrainConfig(method="pilot", mask_mode="a_aug", n_impute=n_impute)
+        pilot_step(clf, dgm, opt_psi, opt_dgm, ds.x_train[:16], ds.y_train[:16], cfg,
+                   np.random.default_rng(1), np.random.default_rng(2))
+        assert len(calls) == n_impute
+
+    def test_bit_identical_to_two_pass_oracle(self):
+        cfg = TrainConfig(method="pilot", mask_mode="a_aug", mask_rate=0.5)
+        worlds = [self._world() for _ in range(2)]
+        rngs = [(np.random.default_rng(1), np.random.default_rng(2)) for _ in range(2)]
+        for step in range(5):
+            rows = slice(step * 16, (step + 1) * 16)
+            logged = []
+            for fn, (ds, *models), (rng_mask, rng_z) in zip(
+                    (pilot_step, _two_pass_pilot_step), worlds, rngs):
+                logged.append(fn(*models, ds.x_train[rows], ds.y_train[rows], cfg, rng_mask, rng_z))
+            assert logged[0] == logged[1]
+        (_, clf_a, dgm_a, *_), (_, clf_b, dgm_b, *_) = worlds
+        for a, b in zip(clf_a.parameters() + dgm_a.parameters(),
+                        clf_b.parameters() + dgm_b.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+
+
 class TestEmptyMaskEquivalence:
     def test_pilot_loss_equals_vanilla_bit_exact(self):
         ds, spec = blob_setup(seed=5)
@@ -379,6 +441,9 @@ class TestTrainLoop:
                                       loaded.predict(ds.x_test[:16]))
         assert loaded.label == "pilot_a_drop"
         assert loaded.dgm is not None
+        # the loader hands out views of one buffer; the bundle keeps none of them
+        state = {**loaded.classifier.state_arrays(), **loaded.dgm.state_arrays()}
+        assert all(arr.base is None for arr in state.values())
 
 
 class TestJensenDirection:
