@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import save_tensors
 from .masks import sample_mask
-from .nets import dropout_mask_apply
+from .nets import READ_BATCH
 from . import autodiff as ad
 
 PROB_FLOOR = 1e-12
@@ -135,15 +135,18 @@ def bin_reliability(preds: np.ndarray, labels, n_bins: int = 10) -> list:
     return bins
 
 
-def ece(preds: np.ndarray, labels, n_bins: int = 10) -> float:
-    """Count-weighted mean absolute gap between per-bin accuracy and confidence."""
-    preds, labels = _check_preds(preds, labels)
-    n = len(preds)
+def _ece_of_bins(bins, n: int) -> float:
     total = 0.0
-    for b in bin_reliability(preds, labels, n_bins):
+    for b in bins:
         if b.count:
             total += (b.count / n) * abs(b.acc - b.conf)
     return float(total)
+
+
+def ece(preds: np.ndarray, labels, n_bins: int = 10) -> float:
+    """Count-weighted mean absolute gap between per-bin accuracy and confidence."""
+    preds, labels = _check_preds(preds, labels)
+    return _ece_of_bins(bin_reliability(preds, labels, n_bins), len(preds))
 
 
 def nll(preds: np.ndarray, labels) -> float:
@@ -182,21 +185,18 @@ def ensemble_predict(members) -> np.ndarray:
     return mean / mean.sum(axis=1, keepdims=True)
 
 
-MC_BATCH = 512   # rows per Monte Carlo pass, as in ``predict``
-
-
 def mc_predict(bundle, x, n_samples: int, mode: str, rng) -> np.ndarray:
     """Average class probabilities over stochastic forward passes.
 
     ``pilot_mc`` draws a fresh mask and imputation per sample and runs the
     spliced pass; ``mc_dropout`` runs train-mode dropout at test time.
 
-    The input is walked in batches of ``MC_BATCH`` rows, so memory is bounded
-    by the batch, not by ``len(x)``. RNG order: batches are the outer loop
-    and draws the inner one; a ``pilot_mc`` draw takes its mask and then its
-    imputation from ``rng``, a ``mc_dropout`` draw its dropout masks, each
-    for the rows of the current batch only. An input of at most ``MC_BATCH``
-    rows is one batch.
+    The input is walked in batches of ``nets.READ_BATCH`` rows, so memory is
+    bounded by the batch, not by ``len(x)``. RNG order: batches are the outer
+    loop and draws the inner one; a ``pilot_mc`` draw takes its mask and then
+    its imputation from ``rng``, a ``mc_dropout`` draw its dropout masks, each
+    for the rows of the current batch only. An input of at most
+    ``READ_BATCH`` rows is one batch.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -208,8 +208,8 @@ def mc_predict(bundle, x, n_samples: int, mode: str, rng) -> np.ndarray:
     clf = bundle.classifier
     out = np.empty((len(x), clf.spec.num_classes))
     with ad.no_grad():
-        for start in range(0, len(x), MC_BATCH):
-            xb = x[start : start + MC_BATCH]
+        for start in range(0, len(x), READ_BATCH):
+            xb = x[start : start + READ_BATCH]
             if mode == "pilot_mc":
                 _, record = clf.forward_record(xb)
                 a_flat = record.flatten()
@@ -234,25 +234,30 @@ def predictions_for(bundle, x, cfg: EvalConfig) -> np.ndarray:
 
 
 def evaluate(bundle, x, labels, cfg: EvalConfig = EvalConfig()) -> CalibrationReport:
-    """Full calibration report for one model on one test set."""
+    """Full calibration report for one model on one test set, labelled
+    ``cfg.model_id`` or else by mode, as ``references.py`` keys its rows."""
     if len(x) == 0:
         raise ValueError("empty test set")
     preds = predictions_for(bundle, x, cfg)
-    return report_from_predictions(preds, labels, cfg, model=cfg.model_id or bundle.label)
+    mc_labels = {"pilot_mc": f"pilot_mc_{bundle.train_config.mask_mode}",
+                 "mc_dropout": "mc_dropout"}
+    model = cfg.model_id or mc_labels.get(cfg.mode, bundle.label)
+    return report_from_predictions(preds, labels, cfg, model=model)
 
 
 def report_from_predictions(preds, labels, cfg: EvalConfig = EvalConfig(),
                             model: str = "", meta: dict | None = None) -> CalibrationReport:
     preds, labels = _check_preds(preds, np.asarray(labels))
     edges, counts = entropy_histogram(preds, cfg.entropy_bins)
+    bins = bin_reliability(preds, labels, cfg.n_bins)
     return CalibrationReport(
         model=model or cfg.model_id,
         n=len(preds),
         num_classes=preds.shape[1],
         accuracy=accuracy(preds, labels),
         nll=nll(preds, labels),
-        ece=ece(preds, labels, cfg.n_bins),
-        bins=bin_reliability(preds, labels, cfg.n_bins),
+        ece=_ece_of_bins(bins, len(preds)),
+        bins=bins,
         entropy_edges=[float(e) for e in edges],
         entropy_counts=[int(c) for c in counts],
         meta=meta or {},

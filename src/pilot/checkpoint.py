@@ -10,6 +10,7 @@ prediction matrices.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 import struct
@@ -84,7 +85,8 @@ def load_tensors(path):
     a view of it, so peak memory is about the file size. A tensor whose
     offset leaves it misaligned for its dtype is copied out instead. Any one
     view keeps the whole buffer alive: a caller that keeps a tensor beyond
-    the load, but not the rest, copies it.
+    the load, but not the rest, copies it. A malformed header or tensor
+    entry raises ``ContainerError``.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -98,17 +100,43 @@ def load_tensors(path):
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ContainerError(f"{path}: unreadable header: {err}") from None
+        if not isinstance(header, dict):
+            raise ContainerError(f"{path}: header is a JSON {type(header).__name__}, not an object")
         if header.get("version") != VERSION:
             raise ContainerError(f"{path}: unsupported container version {header.get('version')!r}")
+        if not isinstance(header.get("tensors"), list) or not isinstance(header.get("meta", {}), dict):
+            raise ContainerError(f"{path}: header needs a 'tensors' list and a 'meta' object")
         base = 8 + header_len
         payload = _aligned_buffer(size - base)
         size = base + fh.readinto(payload)
     tensors = {}
     for entry in header["tensors"]:
-        start = entry["offset"]
-        stop = start + entry["nbytes"]
-        if base + stop > size:
-            raise ContainerError(f"{path}: truncated payload for {entry['name']!r} at byte {size}")
-        arr = payload[start:stop].view(np.dtype(entry["dtype"])).reshape(entry["shape"])
-        tensors[entry["name"]] = arr if arr.flags.aligned else arr.copy()
+        name, dtype, shape, start, nbytes = _entry_fields(path, entry)
+        if base + start + nbytes > size:
+            raise ContainerError(f"{path}: truncated payload for {name!r} at byte {size}")
+        arr = payload[start : start + nbytes].view(dtype).reshape(shape)
+        tensors[name] = arr if arr.flags.aligned else arr.copy()
     return tensors, header.get("meta", {})
+
+
+def _entry_fields(path, entry):
+    """``(name, dtype, shape, offset, nbytes)`` of one header tensor entry;
+    ContainerError names what is wrong with it."""
+    try:
+        name = str(entry["name"])
+        dtype = np.dtype(entry["dtype"])
+        shape = tuple(int(d) for d in entry["shape"])
+        start, nbytes = int(entry["offset"]), int(entry["nbytes"])
+    except KeyError as err:
+        raise ContainerError(f"{path}: tensor entry {entry!r} has no {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ContainerError(f"{path}: malformed tensor entry {entry!r}: {err}") from None
+    if dtype.hasobject or dtype.itemsize == 0:
+        raise ContainerError(f"{path}: tensor {name!r}: dtype {dtype.str} cannot be stored")
+    if start < 0 or min(shape, default=0) < 0:
+        raise ContainerError(f"{path}: tensor {name!r}: negative offset or dimension "
+                             f"(offset {start}, shape {list(shape)})")
+    if nbytes != dtype.itemsize * math.prod(shape):
+        raise ContainerError(f"{path}: tensor {name!r}: shape {list(shape)} of {dtype.str} needs "
+                             f"{dtype.itemsize * math.prod(shape)} bytes, the entry gives {nbytes}")
+    return name, dtype, shape, start, nbytes

@@ -127,15 +127,7 @@ def make_dataset(cfg: dict) -> Dataset:
             raise ConfigError("config keys 'dataset.train_path'/'dataset.test_path': required for raw_tensor")
         return raw_tensor_dataset(cfg["dataset.train_path"], cfg["dataset.test_path"])
     if kind == "synthetic_blobs":
-        return synth_blobs(
-            n_classes=cfg["dataset.classes"],
-            n_per_class=cfg["dataset.per_class"],
-            dim=cfg["dataset.dim"],
-            separation=cfg["dataset.separation"],
-            seed=cfg["seed"],
-            label_noise=cfg["dataset.label_noise"],
-            n_test_per_class=cfg["dataset.test_per_class"],
-        )
+        return synth_blobs(seed=cfg["seed"], **cfgmod.fields(cfg, "synth_blobs"))
     raise ConfigError(f"config key 'dataset.kind': unknown kind {kind!r}")
 
 
@@ -174,21 +166,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _report_label(bundle, mode: str) -> str:
-    """The model label of a report, as ``references.py`` keys its rows."""
-    if mode == "pilot_mc":
-        return f"pilot_mc_{bundle.train_config.mask_mode}"
-    if mode == "mc_dropout":
-        return "mc_dropout"
-    return bundle.label
-
-
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     bundle = TrainedBundle.load(args.checkpoint)
     dataset = make_dataset(cfg)
-    model_id = _report_label(bundle, cfg["eval.mode"])
-    ecfg = cfgmod.eval_config(cfg, model_id=model_id)
+    ecfg = cfgmod.eval_config(cfg)
     report = evaluate(bundle, dataset.x_test, dataset.y_test, ecfg)
     report.meta = {
         "arch": bundle.spec.kind,

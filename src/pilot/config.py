@@ -2,7 +2,9 @@
 
 Every key has a typed schema entry with a default; unknown keys are
 rejected by name. A resolved snapshot (sorted key=value lines) written next
-to a run's artifacts reproduces that run exactly.
+to a run's artifacts reproduces that run exactly. A schema entry also names
+the dataclass field (or ``synth_blobs`` argument) its key fills; the builders
+below read that column and write out only the few rules it cannot express.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 from .dgm import DGMConfig, HyperpriorConfig
 from .nets import ClassifierSpec
-from .train import TrainConfig
+from .train import MASKED_METHODS, TrainConfig
 from .calibrate import EvalConfig
 
 
@@ -24,10 +26,11 @@ class Option:
     kind: str          # int | float | bool | str | ints
     default: object
     help: str
+    fills: str = ""    # "Owner.field" the value fills; "" for keys read by name
 
 
 SCHEMA = {
-    "seed": Option("int", 0, "master RNG seed for the whole experiment"),
+    "seed": Option("int", 0, "master RNG seed for the whole experiment", "TrainConfig.seed"),
     "out.dir": Option("str", "runs/out", "output directory for artifacts"),
     # dataset
     "dataset.kind": Option("str", "synthetic_blobs", "cifar10_binary | raw_tensor | synthetic_blobs"),
@@ -35,53 +38,76 @@ SCHEMA = {
     "dataset.path": Option("str", "", "directory with CIFAR-10 binary batches"),
     "dataset.train_path": Option("str", "", "raw_tensor train split container"),
     "dataset.test_path": Option("str", "", "raw_tensor test split container"),
-    "dataset.classes": Option("int", 3, "synthetic_blobs: number of classes"),
-    "dataset.per_class": Option("int", 200, "synthetic_blobs: train points per class"),
-    "dataset.test_per_class": Option("int", 200, "synthetic_blobs: test points per class"),
-    "dataset.dim": Option("int", 8, "synthetic_blobs: input dimension"),
-    "dataset.separation": Option("float", 3.0, "synthetic_blobs: cluster separation"),
-    "dataset.label_noise": Option("float", 0.0, "synthetic_blobs: train label flip probability"),
+    "dataset.classes": Option("int", 3, "synthetic_blobs: number of classes",
+                              "synth_blobs.n_classes"),
+    "dataset.per_class": Option("int", 200, "synthetic_blobs: train points per class",
+                                "synth_blobs.n_per_class"),
+    "dataset.test_per_class": Option("int", 200, "synthetic_blobs: test points per class",
+                                     "synth_blobs.n_test_per_class"),
+    "dataset.dim": Option("int", 8, "synthetic_blobs: input dimension", "synth_blobs.dim"),
+    "dataset.separation": Option("float", 3.0, "synthetic_blobs: cluster separation",
+                                 "synth_blobs.separation"),
+    "dataset.label_noise": Option("float", 0.0, "synthetic_blobs: train label flip probability",
+                                  "synth_blobs.label_noise"),
     # model
-    "model.kind": Option("str", "mlp", "mlp | cnn"),
-    "model.hidden": Option("ints", (64, 64), "mlp hidden layer widths"),
-    "model.conv_channels": Option("ints", (32, 64), "cnn conv channels"),
-    "model.kernel": Option("int", 3, "cnn kernel size"),
-    "model.pool": Option("int", 2, "cnn max-pool window"),
-    "model.dense": Option("int", 1024, "cnn dense width"),
+    "model.kind": Option("str", "mlp", "mlp | cnn", "ClassifierSpec.kind"),
+    "model.hidden": Option("ints", (64, 64), "mlp hidden layer widths", "ClassifierSpec.hidden"),
+    "model.conv_channels": Option("ints", (32, 64), "cnn conv channels",
+                                  "ClassifierSpec.conv_channels"),
+    "model.kernel": Option("int", 3, "cnn kernel size", "ClassifierSpec.kernel_size"),
+    "model.pool": Option("int", 2, "cnn max-pool window", "ClassifierSpec.pool"),
+    "model.dense": Option("int", 1024, "cnn dense width", "ClassifierSpec.dense_width"),
     # training
-    "train.method": Option("str", "vanilla", "vanilla | pilot | add_noise | sub_noise | dropout | l2 | batch_norm | data_aug"),
-    "train.epochs": Option("int", 50, "training epochs"),
-    "train.batch_size": Option("int", 128, "minibatch size"),
-    "train.lr": Option("float", 1e-3, "classifier Adam learning rate"),
-    "train.dgm_lr": Option("float", 1e-4, "DGM Adam learning rate"),
-    "train.l2_lambda": Option("float", 0.1, "l2 method: penalty weight"),
-    "train.dropout_rate": Option("float", 0.5, "dropout method: drop probability"),
-    "train.aug_prob": Option("float", 0.1, "data_aug method: per-datapoint transform probability"),
-    "train.noise_variance": Option("float", 0.1, "add/sub noise variance (decoder variance by default)"),
-    "train.propagate_noise_gradients": Option("bool", True, "propagate gradients through inserted noise values"),
-    "train.clip_norm": Option("float", 5.0, "per-group gradient clipping max norm"),
-    "train.n_impute": Option("int", 1, "imputation draws per example per step"),
-    "train.checkpoint_every": Option("int", 0, "checkpoint cadence in epochs (0 = final only)"),
+    "train.method": Option("str", "vanilla", "vanilla | pilot | add_noise | sub_noise | dropout | l2 | batch_norm | data_aug",
+                           "TrainConfig.method"),
+    "train.epochs": Option("int", 50, "training epochs", "TrainConfig.epochs"),
+    "train.batch_size": Option("int", 128, "minibatch size", "TrainConfig.batch_size"),
+    "train.lr": Option("float", 1e-3, "classifier Adam learning rate", "TrainConfig.lr_classifier"),
+    "train.dgm_lr": Option("float", 1e-4, "DGM Adam learning rate", "TrainConfig.lr_dgm"),
+    "train.l2_lambda": Option("float", 0.1, "l2 method: penalty weight", "TrainConfig.l2_lambda"),
+    "train.dropout_rate": Option("float", 0.5, "dropout method: drop probability",
+                                 "TrainConfig.dropout_rate"),
+    "train.aug_prob": Option("float", 0.1, "data_aug method: per-datapoint transform probability",
+                             "TrainConfig.data_aug_prob"),
+    "train.noise_variance": Option("float", 0.1, "add/sub noise variance (decoder variance by default)",
+                                   "TrainConfig.noise_variance"),
+    "train.propagate_noise_gradients": Option("bool", True, "propagate gradients through inserted noise values",
+                                              "TrainConfig.propagate_noise_gradients"),
+    "train.clip_norm": Option("float", 5.0, "per-group gradient clipping max norm",
+                              "TrainConfig.clip_norm"),
+    "train.n_impute": Option("int", 1, "imputation draws per example per step",
+                             "TrainConfig.n_impute"),
+    "train.checkpoint_every": Option("int", 0, "checkpoint cadence in epochs (0 = final only)",
+                                     "TrainConfig.checkpoint_every"),
     # masking
-    "mask.mode": Option("str", "a_aug", "x_drop | x_aug | a_drop | a_aug"),
-    "mask.rate": Option("float", 0.5, "mask prior rate r"),
-    "mask.seed": Option("int", -1, "separate mask stream seed (-1 = derive from seed)"),
+    "mask.mode": Option("str", "a_aug", "x_drop | x_aug | a_drop | a_aug", "TrainConfig.mask_mode"),
+    "mask.rate": Option("float", 0.5, "mask prior rate r", "TrainConfig.mask_rate"),
+    "mask.seed": Option("int", -1, "separate mask stream seed (-1 = derive from seed)",
+                        "TrainConfig.mask_seed"),
     # DGM
-    "dgm.latent_dim": Option("int", 64, "latent dimension"),
-    "dgm.hidden": Option("ints", (256, 256), "DGM MLP hidden widths"),
-    "dgm.decoder_variance": Option("float", 0.1, "fixed decoder output variance"),
-    "dgm.hyperprior.sigma_mu": Option("float", 10.0, "hyperprior mean scale"),
-    "dgm.hyperprior.sigma_sigma": Option("float", 1.0, "hyperprior sigma scale"),
-    "dgm.hyperprior.form": Option("str", "squared_mean", "squared_mean | literal_linear"),
-    "dgm.n_z": Option("int", 1, "latent samples per ELBO evaluation"),
-    "dgm.standardize": Option("bool", True, "standardise activations before the DGM"),
-    "dgm.standardize_warmup": Option("float", 0.25, "fraction of steps before freezing the standardiser"),
-    "dgm.impute_sample": Option("bool", False, "sample the decoder likelihood instead of taking its mean"),
+    "dgm.latent_dim": Option("int", 64, "latent dimension", "DGMConfig.latent_dim"),
+    "dgm.hidden": Option("ints", (256, 256), "DGM MLP hidden widths", "DGMConfig.hidden"),
+    "dgm.decoder_variance": Option("float", 0.1, "fixed decoder output variance",
+                                   "DGMConfig.decoder_variance"),
+    "dgm.hyperprior.sigma_mu": Option("float", 10.0, "hyperprior mean scale",
+                                      "HyperpriorConfig.sigma_mu"),
+    "dgm.hyperprior.sigma_sigma": Option("float", 1.0, "hyperprior sigma scale",
+                                         "HyperpriorConfig.sigma_sigma"),
+    "dgm.hyperprior.form": Option("str", "squared_mean", "squared_mean | literal_linear",
+                                  "HyperpriorConfig.form"),
+    "dgm.n_z": Option("int", 1, "latent samples per ELBO evaluation", "DGMConfig.n_z"),
+    "dgm.standardize": Option("bool", True, "standardise activations before the DGM",
+                              "DGMConfig.standardize"),
+    "dgm.standardize_warmup": Option("float", 0.25, "fraction of steps before freezing the standardiser",
+                                     "DGMConfig.standardize_warmup"),
+    "dgm.impute_sample": Option("bool", False, "sample the decoder likelihood instead of taking its mean",
+                                "DGMConfig.impute_sample"),
     # evaluation
-    "eval.bins": Option("int", 10, "confidence bins for reliability/ECE"),
-    "eval.entropy_bins": Option("int", 20, "entropy histogram bins"),
-    "eval.mode": Option("str", "plain", "plain | pilot_mc | mc_dropout"),
-    "eval.mc_samples": Option("int", 10, "samples for MC prediction modes"),
+    "eval.bins": Option("int", 10, "confidence bins for reliability/ECE", "EvalConfig.n_bins"),
+    "eval.entropy_bins": Option("int", 20, "entropy histogram bins", "EvalConfig.entropy_bins"),
+    "eval.mode": Option("str", "plain", "plain | pilot_mc | mc_dropout", "EvalConfig.mode"),
+    "eval.mc_samples": Option("int", 10, "samples for MC prediction modes",
+                              "EvalConfig.mc_samples"),
 }
 
 
@@ -108,7 +134,7 @@ def _parse_value(key: str, raw: str):
 
 def parse_config(text: str) -> dict:
     """Parse key=value lines into a fully resolved config dict."""
-    values = {key: opt.default for key, opt in SCHEMA.items()}
+    values = default_config()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -116,10 +142,7 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
-        key = key.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
+        set_key(values, key.strip(), raw)
     return values
 
 
@@ -165,67 +188,32 @@ def config_help() -> str:
 # -- dataclass builders -------------------------------------------------------
 
 
+def fields(cfg: dict, owner: str) -> dict:
+    """Field name -> value for every key whose ``Option`` fills ``owner``."""
+    prefix = owner + "."
+    return {opt.fills[len(prefix):]: cfg[key] for key, opt in SCHEMA.items()
+            if opt.fills.startswith(prefix)}
+
+
 def classifier_spec(cfg: dict, input_shape: tuple, num_classes: int) -> ClassifierSpec:
-    return ClassifierSpec(
-        kind=cfg["model.kind"],
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-        hidden=tuple(cfg["model.hidden"]),
-        conv_channels=tuple(cfg["model.conv_channels"]),
-        kernel_size=cfg["model.kernel"],
-        pool=cfg["model.pool"],
-        dense_width=cfg["model.dense"],
-        batch_norm=cfg["train.method"] == "batch_norm",
-    )
+    return ClassifierSpec(input_shape=tuple(input_shape), num_classes=num_classes,
+                          batch_norm=cfg["train.method"] == "batch_norm",
+                          **fields(cfg, "ClassifierSpec"))
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    method = cfg["train.method"]
-    needs_mask = method in ("pilot", "add_noise", "sub_noise")
-    return TrainConfig(
-        method=method,
-        mask_mode=cfg["mask.mode"] if needs_mask else None,
-        mask_rate=cfg["mask.rate"],
-        mask_seed=cfg["mask.seed"] if cfg["mask.seed"] >= 0 else None,
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        lr_classifier=cfg["train.lr"],
-        lr_dgm=cfg["train.dgm_lr"],
-        l2_lambda=cfg["train.l2_lambda"],
-        dropout_rate=cfg["train.dropout_rate"],
-        data_aug_prob=cfg["train.aug_prob"],
-        noise_variance=cfg["train.noise_variance"],
-        propagate_noise_gradients=cfg["train.propagate_noise_gradients"],
-        clip_norm=cfg["train.clip_norm"],
-        n_impute=cfg["train.n_impute"],
-        seed=cfg["seed"],
-        checkpoint_every=cfg["train.checkpoint_every"],
-    )
+    kw = fields(cfg, "TrainConfig")
+    if kw["method"] not in MASKED_METHODS:
+        kw["mask_mode"] = None
+    if kw["mask_seed"] < 0:
+        kw["mask_seed"] = None
+    return TrainConfig(**kw)
 
 
 def dgm_config(cfg: dict) -> DGMConfig:
-    return DGMConfig(
-        latent_dim=cfg["dgm.latent_dim"],
-        hidden=tuple(cfg["dgm.hidden"]),
-        decoder_variance=cfg["dgm.decoder_variance"],
-        hyperprior=HyperpriorConfig(
-            sigma_mu=cfg["dgm.hyperprior.sigma_mu"],
-            sigma_sigma=cfg["dgm.hyperprior.sigma_sigma"],
-            form=cfg["dgm.hyperprior.form"],
-        ),
-        n_z=cfg["dgm.n_z"],
-        standardize=cfg["dgm.standardize"],
-        standardize_warmup=cfg["dgm.standardize_warmup"],
-        impute_sample=cfg["dgm.impute_sample"],
-    )
+    hyperprior = HyperpriorConfig(**fields(cfg, "HyperpriorConfig"))
+    return DGMConfig(hyperprior=hyperprior, **fields(cfg, "DGMConfig"))
 
 
 def eval_config(cfg: dict, model_id: str = "") -> EvalConfig:
-    return EvalConfig(
-        n_bins=cfg["eval.bins"],
-        entropy_bins=cfg["eval.entropy_bins"],
-        mode=cfg["eval.mode"],
-        mc_samples=cfg["eval.mc_samples"],
-        seed=cfg["seed"],
-        model_id=model_id,
-    )
+    return EvalConfig(seed=cfg["seed"], model_id=model_id, **fields(cfg, "EvalConfig"))

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
 from .masks import Mask
-from .nets import Registry
+from .nets import Registry, normal_init
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,11 @@ def hyperprior_penalty(prior: DiagonalGaussian, cfg: HyperpriorConfig) -> Tensor
 class RunningStandardizer:
     """Per-position running mean/variance, frozen after a warmup period."""
 
-    def __init__(self, dim: int, enabled: bool = True, eps: float = 1e-8):
+    eps = 1e-8
+
+    def __init__(self, dim: int, enabled: bool = True):
         self.dim = dim
         self.enabled = enabled
-        self.eps = eps
         self.count = 0.0
         self.mean = np.zeros(dim)
         self.m2 = np.zeros(dim)
@@ -184,7 +185,7 @@ class _DenseStack:
         for i in range(len(dims) - 1):
             fan_in = dims[i]
             scale = np.sqrt(2.0 / fan_in) if i < len(dims) - 2 else 0.1 * np.sqrt(1.0 / fan_in)
-            w = rng.normal(0.0, scale, size=(dims[i], dims[i + 1]))
+            w = normal_init(rng, scale, (dims[i], dims[i + 1]))
             self.weights.append(registry.param(f"{prefix}.{i}.W", w))
             self.biases.append(registry.param(f"{prefix}.{i}.b", np.zeros(dims[i + 1])))
 

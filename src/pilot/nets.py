@@ -17,6 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
+READ_BATCH = 512    # rows per inference pass: ``predict`` and ``calibrate.mc_predict``
+
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -129,13 +131,14 @@ class Registry:
 class BatchNorm:
     """Feature-wise batch normalisation (2-D inputs) or channel-wise (4-D)."""
 
-    def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5):
+    momentum = 0.9
+    eps = 1e-5
+
+    def __init__(self, num_features: int):
         self.gamma = Tensor(np.ones(num_features), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features), requires_grad=True)
         self.running_mean = Tensor(np.zeros(num_features))
         self.running_var = Tensor(np.ones(num_features))
-        self.momentum = momentum
-        self.eps = eps
 
     def apply(self, z: Tensor, train: bool) -> Tensor:
         axes = (0,) if z.ndim == 2 else (0, 2, 3)
@@ -170,8 +173,14 @@ def dropout_mask_apply(h: Tensor, rate: float, rng, train: bool) -> Tensor:
     return ad.mul(h, Tensor(keep))
 
 
+def normal_init(rng, std, shape) -> np.ndarray:
+    """Normal(0, std) weights; with ``rng=None`` an uninitialised array, for
+    a model whose every tensor is about to be loaded."""
+    return np.empty(shape) if rng is None else rng.normal(0.0, std, size=shape)
+
+
 def _he_init(rng, fan_in, shape, scale=2.0):
-    return rng.normal(0.0, np.sqrt(scale / fan_in), size=shape)
+    return normal_init(rng, np.sqrt(scale / fan_in), shape)
 
 
 class _ClassifierBase:
@@ -290,12 +299,12 @@ class _ClassifierBase:
 
         return self._resume([self._input_tensor(x)], 0, mask, substitute)[-1]
 
-    def predict(self, x, batch_size: int = 512) -> np.ndarray:
+    def predict(self, x) -> np.ndarray:
         """Class probabilities, row-normalised softmax of the logits."""
         chunks = []
         with ad.no_grad():
-            for i in range(0, len(x), batch_size):
-                logits = self.forward(x[i : i + batch_size])
+            for i in range(0, len(x), READ_BATCH):
+                logits = self.forward(x[i : i + READ_BATCH])
                 chunks.append(ad.softmax(logits, axis=1).data)
         return np.concatenate(chunks, axis=0)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import ContainerError, load_tensors, save_tensors
 from .dgm import ActivationDGM, DGMConfig, HyperpriorConfig
 from .masks import sample_mask
 from .nets import ClassifierSpec, build_classifier
@@ -26,6 +26,7 @@ from .nets import ClassifierSpec, build_classifier
 from .optim import Adam, clip_gradients, global_norm  # noqa: F401
 
 METHODS = ("vanilla", "pilot", "add_noise", "sub_noise", "dropout", "l2", "batch_norm", "data_aug")
+MASKED_METHODS = ("pilot", "add_noise", "sub_noise")     # the methods that sample a mask
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r} (expected one of {METHODS})")
-        if self.method in ("pilot", "add_noise", "sub_noise") and self.mask_mode is None:
+        if self.method in MASKED_METHODS and self.mask_mode is None:
             raise ValueError(f"method {self.method!r} requires a mask mode")
         if self.epochs < 1 or self.batch_size < 1 or self.n_impute < 1:
             raise ValueError("epochs, batch_size and n_impute must be positive")
@@ -237,10 +238,6 @@ def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
 # -- logs and bundles --------------------------------------------------------------
 
 
-LOG_COLUMNS = ("epoch", "loss_act", "loss_dgm", "kl", "recon", "penalty",
-               "grad_norm_psi", "grad_norm_dgm", "train_acc", "val_acc")
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -253,6 +250,9 @@ class EpochStats:
     grad_norm_dgm: float = float("nan")
     train_acc: float = float("nan")
     val_acc: float = float("nan")
+
+
+LOG_COLUMNS = tuple(f.name for f in dataclasses.fields(EpochStats))
 
 
 @dataclass
@@ -273,21 +273,13 @@ class TrainLog:
                                   for c in LOG_COLUMNS) + "\n")
 
 
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(value)
-    return value
-
-
-def spec_from_meta(meta: dict) -> ClassifierSpec:
-    kw = {k: _tuplify(v) for k, v in meta.items()}
-    return ClassifierSpec(**kw)
-
-
-def dgm_config_from_meta(meta: dict) -> DGMConfig:
-    kw = {k: _tuplify(v) for k, v in meta.items()}
-    kw["hyperprior"] = HyperpriorConfig(**kw["hyperprior"])
-    return DGMConfig(**kw)
+def config_from_meta(kind, values: dict):
+    """Rebuild the config dataclass ``kind`` from its ``dataclasses.asdict``
+    JSON: lists become tuples again, a nested hyperprior a HyperpriorConfig."""
+    kw = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+    if "hyperprior" in kw:
+        kw["hyperprior"] = HyperpriorConfig(**kw["hyperprior"])
+    return kind(**kw)
 
 
 class TrainedBundle:
@@ -310,8 +302,8 @@ class TrainedBundle:
             return f"{cfg.method.split('_')[0]}_{cfg.mask_mode}"
         return cfg.method
 
-    def predict(self, x, batch_size: int = 512) -> np.ndarray:
-        return self.classifier.predict(x, batch_size=batch_size)
+    def predict(self, x) -> np.ndarray:
+        return self.classifier.predict(x)
 
     def save(self, path) -> None:
         tensors = dict(self.classifier.state_arrays())
@@ -328,17 +320,32 @@ class TrainedBundle:
 
     @classmethod
     def load(cls, path) -> "TrainedBundle":
+        """Read a bundle ``save`` wrote. The models are built without an
+        initialisation (no random draw) and every tensor is then loaded;
+        ``ContainerError`` names a missing meta entry or tensor."""
         tensors, meta = load_tensors(path)
-        spec = spec_from_meta(meta["spec"])
-        train_config = TrainConfig(**{k: _tuplify(v) for k, v in meta["train_config"].items()})
-        rng = np.random.default_rng(0)
-        classifier = build_classifier(spec, rng)
-        classifier.load_state(tensors)
-        dgm = dgm_config = None
-        if "dgm_config" in meta:
-            dgm_config = dgm_config_from_meta(meta["dgm_config"])
-            dgm = ActivationDGM(classifier.layout.total, dgm_config, rng)
-            dgm.load_state(tensors)
+
+        def part(key, kind):
+            if key not in meta:
+                raise ContainerError(f"{path}: not a model bundle: its meta has no {key!r}")
+            try:
+                return config_from_meta(kind, meta[key])
+            except (TypeError, ValueError, AttributeError) as err:
+                raise ContainerError(f"{path}: bundle meta {key!r}: {err}") from None
+
+        spec = part("spec", ClassifierSpec)
+        train_config = part("train_config", TrainConfig)
+        dgm_config = part("dgm_config", DGMConfig) if "dgm_config" in meta else None
+        classifier = build_classifier(spec, None)
+        dgm = None if dgm_config is None else ActivationDGM(classifier.layout.total, dgm_config, None)
+        for model in (m for m in (classifier, dgm) if m is not None):
+            for name, arr in model.state_arrays().items():
+                if name not in tensors:
+                    raise ContainerError(f"{path}: bundle has no tensor {name!r}")
+                if tensors[name].shape != arr.shape:
+                    raise ContainerError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                                         f"the model needs {arr.shape}")
+            model.load_state(tensors)
         return cls(classifier, spec, train_config, dgm, dgm_config)
 
 

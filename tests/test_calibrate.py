@@ -360,3 +360,24 @@ class TestAccuracyHelper:
         preds = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
         labels = np.array([0, 1, 1, 1])
         assert accuracy(preds, labels) == 0.75
+
+
+class TestReportBins:
+    def test_one_bin_pass_per_report(self, monkeypatch):
+        import pilot.calibrate as calibrate
+
+        rng = np.random.default_rng(15)
+        preds = rng.dirichlet(np.ones(3), size=1500)
+        labels = rng.integers(0, 3, 1500)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return bin_reliability(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "bin_reliability", counted)
+        report = report_from_predictions(preds, labels, EvalConfig())
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert report.ece == ece(preds, labels)
+        assert report.bins == bin_reliability(preds, labels)

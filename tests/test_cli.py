@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,12 @@ import numpy as np
 import pytest
 
 from pilot import THREAD_ENV_VARS, cli
-from pilot.calibrate import CalibrationReport
+from pilot.calibrate import CalibrationReport, EvalConfig, evaluate
+from pilot.checkpoint import MAGIC, load_tensors, save_tensors
 from pilot.cli import COMPARE_COLUMNS, compare_rows, main
+from pilot.config import load_config
+from pilot.data import save_raw_tensor
+from pilot.train import TrainedBundle
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -267,3 +272,81 @@ class TestDeterministicThreads:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r"), "--deterministic"]) == 1
         assert "--deterministic" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+
+class TestReportLabels:
+    def test_evaluate_labels_reports_as_pilot_eval_does(self, tmp_path):
+        cfg = write_config(tmp_path, method="pilot", epochs=1)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ckpt = out / "checkpoints" / "epoch_0001.ckpt"
+        bundle = TrainedBundle.load(ckpt)
+        ds = cli.make_dataset(load_config(cfg))
+        labels = []
+        for mode in ("plain", "pilot_mc", "mc_dropout"):
+            eval_out = tmp_path / mode
+            assert main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
+                         "--out", str(eval_out), "--mode", mode, "--mc-samples", "2"]) == 0
+            label = CalibrationReport.from_json(eval_out / "report.json").model
+            report = evaluate(bundle, ds.x_test[:20], ds.y_test[:20],
+                              EvalConfig(mode=mode, mc_samples=1))
+            assert report.model == label
+            labels.append(label)
+        assert labels == ["pilot_a_aug", "pilot_mc_a_aug", "mc_dropout"]
+
+
+def _write_container(path, header, payload=b"\0" * 8):
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+
+
+_ENTRY = {"name": "x", "dtype": "<f8", "shape": [1], "offset": 0, "nbytes": 8}
+
+
+class TestMalformedCheckpoint:
+    """Each malformed checkpoint is a data error (exit 2) that names its cause."""
+
+    @pytest.fixture(scope="class")
+    def bundle_tensors(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("bundle")
+        out = tmp / "run"
+        assert main(["train", "--config", str(write_config(tmp, epochs=1)), "--out", str(out)]) == 0
+        return load_tensors(out / "checkpoints" / "epoch_0001.ckpt")
+
+    def _eval_error(self, tmp_path, capsys, path):
+        code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "eval")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("header,cause", [
+        ({"version": 1, "meta": {}, "tensors": [dict(_ENTRY, dtype="<zz")]}, "'<zz'"),
+        ({"version": 1, "meta": {}, "tensors": [dict(_ENTRY, dtype="|O")]}, "dtype |O"),
+        ({"version": 1, "meta": {}, "tensors": [dict(_ENTRY, shape=[3])]}, "needs 24 bytes"),
+        ({"version": 1, "meta": {}, "tensors": [dict(_ENTRY, offset=-8)]}, "negative offset"),
+        ({"version": 1, "meta": {}}, "'tensors'"),
+        ([1, 2], "JSON list"),
+    ], ids=["dtype", "object-dtype", "shape", "offset", "no-tensors", "list-header"])
+    def test_malformed_header(self, tmp_path, capsys, header, cause):
+        path = tmp_path / "bad.ckpt"
+        _write_container(path, header)
+        code, err = self._eval_error(tmp_path, capsys, path)
+        assert code == 2
+        assert err.startswith("data error:") and cause in err
+
+    def test_raw_tensor_container_is_not_a_bundle(self, tmp_path, capsys):
+        path = tmp_path / "raw.ptc"
+        save_raw_tensor(path, np.zeros((2, 1, 2, 2)), np.zeros(2))
+        code, err = self._eval_error(tmp_path, capsys, path)
+        assert code == 2 and "not a model bundle" in err and "'spec'" in err
+
+    @pytest.mark.parametrize("change,cause", [
+        (lambda t, m: t.pop("clf.0.b"), "no tensor 'clf.0.b'"),
+        (lambda t, m: t.update({"clf.0.b": np.zeros(2)}), "'clf.0.b' has shape (2,)"),
+        (lambda t, m: m["spec"].pop("kind"), "bundle meta 'spec'"),
+    ], ids=["missing-tensor", "tensor-shape", "spec-field"])
+    def test_bad_bundle(self, tmp_path, capsys, bundle_tensors, change, cause):
+        tensors, meta = dict(bundle_tensors[0]), json.loads(json.dumps(bundle_tensors[1]))
+        change(tensors, meta)
+        path = tmp_path / "bad.ckpt"
+        save_tensors(path, tensors, meta)
+        code, err = self._eval_error(tmp_path, capsys, path)
+        assert code == 2 and cause in err

@@ -1,9 +1,16 @@
 """Flat key=value config parsing and dataclass builders."""
 
+import dataclasses
+import inspect
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from pilot import cli
+from pilot.calibrate import EvalConfig
 from pilot.config import (
+    SCHEMA,
     ConfigError,
     classifier_spec,
     config_help,
@@ -15,6 +22,10 @@ from pilot.config import (
     snapshot,
     train_config,
 )
+from pilot.data import synth_blobs
+from pilot.dgm import DGMConfig, HyperpriorConfig
+from pilot.nets import ClassifierSpec
+from pilot.train import TrainConfig
 
 
 class TestParse:
@@ -97,3 +108,113 @@ class TestBuilders:
         cfg = parse_config("eval.bins=15\neval.mode=pilot_mc\n")
         ec = eval_config(cfg, model_id="m")
         assert ec.n_bins == 15 and ec.mode == "pilot_mc" and ec.model_id == "m"
+
+
+# A non-default value for every key whose Option names the field it fills.
+NON_DEFAULT = {
+    "seed": "7",
+    "dataset.classes": "4",
+    "dataset.per_class": "11",
+    "dataset.test_per_class": "13",
+    "dataset.dim": "5",
+    "dataset.separation": "1.5",
+    "dataset.label_noise": "0.2",
+    "model.kind": "cnn",
+    "model.hidden": "7,5",
+    "model.conv_channels": "4,6",
+    "model.kernel": "5",
+    "model.pool": "3",
+    "model.dense": "33",
+    "train.method": "pilot",
+    "train.epochs": "9",
+    "train.batch_size": "17",
+    "train.lr": "0.02",
+    "train.dgm_lr": "0.03",
+    "train.l2_lambda": "0.4",
+    "train.dropout_rate": "0.25",
+    "train.aug_prob": "0.35",
+    "train.noise_variance": "0.45",
+    "train.propagate_noise_gradients": "false",
+    "train.clip_norm": "2.5",
+    "train.n_impute": "3",
+    "train.checkpoint_every": "2",
+    "mask.mode": "x_drop",
+    "mask.rate": "0.3",
+    "mask.seed": "4",
+    "dgm.latent_dim": "6",
+    "dgm.hidden": "9",
+    "dgm.decoder_variance": "0.6",
+    "dgm.hyperprior.sigma_mu": "3.5",
+    "dgm.hyperprior.sigma_sigma": "0.7",
+    "dgm.hyperprior.form": "literal_linear",
+    "dgm.n_z": "2",
+    "dgm.standardize": "false",
+    "dgm.standardize_warmup": "0.5",
+    "dgm.impute_sample": "true",
+    "eval.bins": "15",
+    "eval.entropy_bins": "12",
+    "eval.mode": "pilot_mc",
+    "eval.mc_samples": "4",
+}
+
+# Fields the builders fill by a written-out rule rather than from one key.
+BY_RULE = {
+    "ClassifierSpec": {"input_shape", "num_classes", "batch_norm"},
+    "TrainConfig": {"validate_separation"},
+    "DGMConfig": {"hyperprior"},
+    "HyperpriorConfig": set(),
+    "EvalConfig": {"seed", "model_id"},
+    "synth_blobs": {"seed"},
+}
+
+
+def _owner_fields(owner):
+    if owner == "synth_blobs":
+        return set(inspect.signature(synth_blobs).parameters)
+    kinds = {"ClassifierSpec": ClassifierSpec, "TrainConfig": TrainConfig, "DGMConfig": DGMConfig,
+             "HyperpriorConfig": HyperpriorConfig, "EvalConfig": EvalConfig}
+    return {f.name for f in dataclasses.fields(kinds[owner])}
+
+
+def _built(owner, cfg, monkeypatch):
+    """The object (or keyword arguments) the config builds for ``owner``."""
+    if owner == "synth_blobs":
+        captured = {}
+        monkeypatch.setattr(cli, "synth_blobs", lambda **kw: captured.update(kw))
+        cli.make_dataset(cfg)
+        return SimpleNamespace(**captured)
+    return {
+        "ClassifierSpec": lambda: classifier_spec(cfg, (3, 12, 12), 3),
+        "TrainConfig": lambda: train_config(cfg),
+        "DGMConfig": lambda: dgm_config(cfg),
+        "HyperpriorConfig": lambda: dgm_config(cfg).hyperprior,
+        "EvalConfig": lambda: eval_config(cfg),
+    }[owner]()
+
+
+class TestFieldColumn:
+    def test_table_covers_every_filling_key(self):
+        assert set(NON_DEFAULT) == {key for key, opt in SCHEMA.items() if opt.fills}
+
+    @pytest.mark.parametrize("owner", sorted(BY_RULE))
+    def test_every_field_is_filled_by_one_key_or_a_rule(self, owner):
+        named = [opt.fills.split(".", 1)[1] for opt in SCHEMA.values()
+                 if opt.fills.split(".", 1)[0] == owner]
+        assert len(named) == len(set(named))
+        assert not set(named) & BY_RULE[owner]
+        assert set(named) | BY_RULE[owner] == _owner_fields(owner)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_value_reaches_its_field(self, key, monkeypatch):
+        text = f"{key}={NON_DEFAULT[key]}\n"
+        if key.startswith("mask."):
+            text += "train.method=pilot\n"      # only masking methods keep a mask mode
+        cfg = parse_config(text)
+        assert cfg[key] != SCHEMA[key].default
+        owner, name = SCHEMA[key].fills.split(".", 1)
+        assert getattr(_built(owner, cfg, monkeypatch), name) == cfg[key]
+
+    def test_seed_also_feeds_eval_and_data(self, monkeypatch):
+        cfg = parse_config("seed=7\n")
+        assert eval_config(cfg).seed == 7
+        assert _built("synth_blobs", cfg, monkeypatch).seed == 7

@@ -469,3 +469,24 @@ class TestJensenDirection:
         log_of_mean = np.log(probs.mean(axis=0))
         mean_of_log = np.log(probs).mean(axis=0)
         assert np.all(log_of_mean >= mean_of_log - 1e-12)
+
+
+class TestBundleLoad:
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        ds, spec = blob_setup(seed=34, per_class=30)
+        cfg = TrainConfig(method="pilot", mask_mode="a_aug", epochs=1, batch_size=32, seed=2)
+        bundle, _ = train(spec, cfg, ds, DGMConfig(latent_dim=4, hidden=(8,)))
+        path = tmp_path / "model.ckpt"
+        bundle.save(path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("TrainedBundle.load drew an initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = TrainedBundle.load(path)
+        monkeypatch.undo()
+        state = {**bundle.classifier.state_arrays(), **bundle.dgm.state_arrays()}
+        loaded_state = {**loaded.classifier.state_arrays(), **loaded.dgm.state_arrays()}
+        assert state.keys() == loaded_state.keys()
+        for name, arr in state.items():
+            np.testing.assert_array_equal(loaded_state[name], arr)
