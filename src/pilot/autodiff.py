@@ -65,6 +65,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether operations record a graph: False inside :func:`no_grad`."""
+    return _grad_enabled
+
+
 def set_nan_guard(enabled: bool) -> None:
     """Toggle per-op finiteness checks during backward (debug aid)."""
     global _nan_guard

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import save_tensors
-from .masks import sample_mask
+from .dgm import PreparedBatch
+from .masks import BLOCK_MODES, sample_mask
 from .nets import READ_BATCH
 from . import autodiff as ad
 
@@ -164,10 +165,11 @@ def entropy(preds: np.ndarray) -> np.ndarray:
 
 
 def entropy_histogram(preds: np.ndarray, n_bins: int = 20):
-    """Histogram of prediction entropies over [0, ln C]."""
+    """Histogram of prediction entropies over [0, ln C]. Entropies are
+    clipped into that range first: a uniform row's can round above ln C."""
     preds, _ = _check_preds(preds)
-    h = entropy(preds)
     hi = np.log(preds.shape[1])
+    h = np.clip(entropy(preds), 0.0, hi)
     counts, edges = np.histogram(h, bins=n_bins, range=(0.0, hi))
     return edges, counts
 
@@ -213,11 +215,13 @@ def mc_predict(bundle, x, n_samples: int, mode: str, rng) -> np.ndarray:
             if mode == "pilot_mc":
                 _, record = clf.forward_record(xb)
                 a_flat = record.flatten()
+                prepared = (PreparedBatch(bundle.dgm, a_flat, clf.layout)
+                            if cfg.mask_mode in BLOCK_MODES else None)
             acc = np.zeros((len(xb), clf.spec.num_classes))
             for _ in range(n_samples):
                 if mode == "pilot_mc":
                     mask = sample_mask(cfg.mask_mode, cfg.mask_rate, clf.layout, len(xb), rng)
-                    imputed = bundle.dgm.impute(a_flat, mask, rng)
+                    imputed = bundle.dgm.impute(a_flat, mask, rng, prepared=prepared)
                     logits, _ = clf.forward_spliced(record, mask, imputed)
                 else:
                     logits = clf.forward(xb, train=True, dropout_rate=cfg.dropout_rate, rng=rng)

@@ -153,10 +153,11 @@ class RunningStandardizer:
             return np.asarray(a, dtype=np.float64)
         return (a - self.mean) / self._std()
 
-    def untransform(self, values: np.ndarray) -> np.ndarray:
+    def untransform(self, values: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Back to activation units; ``values`` holds the positions ``cols``."""
         if not self.enabled or self.count < 2:
             return values
-        return values * self._std() + self.mean
+        return values * self._std()[cols] + self.mean[cols]
 
     def state_arrays(self) -> dict:
         return {
@@ -201,6 +202,69 @@ class _DenseStack:
         for w, b in zip(self.weights, self.biases):
             out += [w, b]
         return out
+
+    # Without a graph, from the first layer's pre-activation on: the rows
+    # under a block mask (see ``_BlockInput``).
+
+    def hidden_from_first(self, h: np.ndarray) -> np.ndarray:
+        """The pre-activation the output layer takes, from the first layer's."""
+        for w, b in zip(self.weights[1:-1], self.biases[1:-1]):
+            h = np.maximum(h, 0.0) @ w.data + b.data
+        return h
+
+    def output_cols(self, h: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """The output columns ``cols`` from :meth:`hidden_from_first`'s ``h``."""
+        if len(self.weights) == 1:      # h is the output layer's own
+            return h[:, cols]
+        return np.maximum(h, 0.0) @ self.weights[-1].data[:, cols] + self.biases[-1].data[cols]
+
+
+class _BlockInput:
+    """A stack's first layer, by record block, for rows that each mask one
+    whole layer.
+
+    The stack's input is ``[a_std * (1 - b), b, extra]``. For a row that
+    masks layer l, the first layer is the sum over every other layer k of
+    ``a_std[:, k] @ W_a[k]``, plus the rows of ``W_b`` summed over layer l,
+    plus ``extra @ W_extra`` and the bias. The products are computed once
+    for ``a_std``'s rows. The masked layer's own product is left out of the
+    sum, not subtracted from a total, so no masked value reaches the result,
+    not even at roundoff.
+    """
+
+    def __init__(self, stack: _DenseStack, a_std: np.ndarray, layout):
+        w = stack.weights[0].data
+        total = layout.total
+        layers = [layout.layer_slice(k) for k in range(layout.n_layers)]
+        self.products = [a_std[:, sl] @ w[sl] for sl in layers]
+        self.mask_sums = [w[total + sl.start : total + sl.stop].sum(axis=0) for sl in layers]
+        self.w_extra = w[2 * total :]
+        self.bias = stack.biases[0].data
+
+    def __call__(self, rows: np.ndarray, groups, extra: np.ndarray | None = None) -> np.ndarray:
+        """First-layer pre-activation of ``rows`` (indices into ``a_std``).
+        ``groups`` holds a ``(layer, g)`` pair per masked layer: ``rows[g]``
+        are the rows that mask it."""
+        h = np.empty((len(rows), len(self.bias)))
+        for layer, g in groups:
+            others = [p[rows[g]] for k, p in enumerate(self.products) if k != layer]
+            h[g] = sum(others[1:], others[0]) + self.mask_sums[layer]
+        if extra is not None:
+            h += extra @ self.w_extra
+        return h + self.bias
+
+
+class PreparedBatch:
+    """What every imputation of one batch of records shares under block
+    masks: the standardised record, and the block products of the prior's
+    and the decoder's first layers. No mask goes into it, so it is built
+    once per batch and passed to every draw's :meth:`ActivationDGM.impute`
+    as ``prepared=``."""
+
+    def __init__(self, dgm: "ActivationDGM", a_flat: np.ndarray, layout):
+        self.a_std = dgm.standardizer.transform(np.asarray(a_flat))
+        self.prior = _BlockInput(dgm.prior_net, self.a_std, layout)
+        self.decoder = _BlockInput(dgm.decoder, self.a_std, layout)
 
 
 class ActivationDGM:
@@ -302,17 +366,63 @@ class ActivationDGM:
         return lam, diag
 
     def impute(self, a_flat: np.ndarray, mask: Mask, rng, sample: bool | None = None,
-               *, prior=None) -> np.ndarray:
+               *, prior=None, prepared: PreparedBatch | None = None) -> np.ndarray:
         """Generate values for the masked positions via the conditional prior.
 
-        Never consults the encoder. Returns a (batch, total) array whose
-        entries are meaningful only where the mask is 1 (decoder mean by
-        default; ``sample=True`` adds decoder-variance noise; ``None``
-        follows ``config.impute_sample``). ``prior`` is :meth:`condition`'s
-        pair for this record and mask; none of its graph is extended here.
+        Never consults the encoder. Returns a (batch, total) array that holds
+        the imputation at the positions where the mask is 1 and zero
+        elsewhere: the decoder mean by default; ``sample=True`` adds
+        decoder-variance noise; ``None`` follows ``config.impute_sample``.
+
+        A block mask (one that carries ``mask.block``) runs the decoder only
+        on rows that mask a layer, builds each row's first layer from the
+        unmasked layers' block products (:class:`_BlockInput`), and computes
+        only the masked layer's columns. ``prepared`` is the
+        :class:`PreparedBatch` of this batch of records: with it the prior
+        also runs on the masked rows alone, from the prepared products.
+        Without it the prior is ``prior``, :meth:`condition`'s pair for this
+        record and mask (none of its graph is extended here), or a fresh
+        :meth:`condition`. A mask without a block index takes the dense path
+        over every row and column. Both paths draw the same noise from
+        ``rng``: a (batch, latent) draw, then a (batch, total) one when
+        sampling.
         """
         if sample is None:
             sample = self.config.impute_sample
+        if mask.block is None:
+            return self._impute_dense(a_flat, mask, rng, sample, prior)
+        n, dz, total = len(mask.block), self.config.latent_dim, self.record_dim
+        covered = np.flatnonzero(mask.block >= 0)
+        block = mask.block[covered]
+        groups = [(layer, g) for layer in range(mask.layout.n_layers)
+                  if len(g := np.flatnonzero(block == layer))]
+        with ad.no_grad():
+            if prepared is None:
+                a_std, p = self.condition(a_flat, mask) if prior is None else prior
+                e = rng.standard_normal(p.mean.shape)
+                z = reparam_sample(p, e).data[covered]
+                decoder = _BlockInput(self.decoder, a_std[covered], mask.layout)
+                rows = np.arange(len(covered))      # into the decoder's rows
+            else:
+                if len(prepared.a_std) != n:
+                    raise ValueError(f"prepared batch has {len(prepared.a_std)} rows, mask has {n}")
+                e = rng.standard_normal((n, dz))
+                decoder, rows = prepared.decoder, covered
+                h = self.prior_net.hidden_from_first(prepared.prior(rows, groups))
+                out_p = self.prior_net.output_cols(h)
+                z = out_p[:, :dz] + np.exp(out_p[:, dz:] * 0.5) * e[covered]
+        noise = rng.standard_normal((n, total)) if sample else None
+        h = self.decoder.hidden_from_first(decoder(rows, groups, z))
+        out = np.zeros((n, total))
+        for layer, g in groups:
+            cols = mask.layout.layer_slice(layer)
+            mean = self.decoder.output_cols(h[g], cols)
+            if sample:
+                mean = mean + noise[covered[g], cols] * np.sqrt(self.config.decoder_variance)
+            out[covered[g], cols] = self.standardizer.untransform(mean, cols)
+        return out
+
+    def _impute_dense(self, a_flat, mask: Mask, rng, sample: bool, prior) -> np.ndarray:
         with ad.no_grad():
             a_std, p = self.condition(a_flat, mask) if prior is None else prior
             e = rng.standard_normal(p.mean.shape)
@@ -320,7 +430,7 @@ class ActivationDGM:
             mean = self.decode_mean(a_std, mask, z).data
         if sample:
             mean = mean + rng.standard_normal(mean.shape) * np.sqrt(self.config.decoder_variance)
-        return self.standardizer.untransform(mean)
+        return np.where(mask.values > 0, self.standardizer.untransform(mean), 0.0)
 
     # -- persistence -----------------------------------------------------------------
 

@@ -187,6 +187,9 @@ class _ClassifierBase:
     spec: ClassifierSpec
     layout: RecordLayout
     registry: Registry
+    # Stages that compute each example's row from that row alone, bit for
+    # bit whatever the other rows are; ``_resume`` may recompute a subset.
+    row_local_stages = ()
 
     # Each subclass implements _stage(l, prev, ...): pre-activation a^l from
     # the (possibly spliced) a^{l-1}, including any nonlinearity/pooling of
@@ -242,29 +245,61 @@ class _ClassifierBase:
         record = ActivationRecord(layers, self.layout)
         return record.logits, record
 
-    def _layer_constant(self, values, layer: int, shape) -> Tensor:
+    def _layer_constant(self, values, layer: int, shape, rows=slice(None)) -> Tensor:
         # Imputed/noise inputs enter the graph as constants: gradient barrier
         # by construction, regardless of what the caller hands in.
         values = values.data if isinstance(values, Tensor) else np.asarray(values)
-        return Tensor(values[:, self.layout.layer_slice(layer)].reshape(shape))
+        return Tensor(values[rows, self.layout.layer_slice(layer)].reshape(shape))
 
     def _resume(self, layers, start: int, mask, substitute):
         """The one walk with substituted activations.
 
         Takes layer ``start`` from ``layers`` and recomputes every later
         layer from the one before. At each layer with masked positions,
-        ``substitute(layer, fresh)`` gives the values that replace the fresh
-        ones there. Layers before ``start`` are kept as they are. Returns
-        the list of all layers.
+        ``substitute(layer, fresh, rows)`` gives the values that replace
+        ``fresh``, the fresh values of the batch rows ``rows``, there. Layers
+        before ``start`` are kept as they are. Returns the list of all layers.
+
+        With a graph, every row of every layer is recomputed and substituted.
+        Without one (under :func:`autodiff.no_grad`) the walk gives the same
+        values with less work. A layer's substitution touches only the rows
+        with masked positions in it; the others keep ``fresh``, which the
+        dense select would return as ``0 * substitute + 1 * fresh``. And when
+        ``layers`` is a whole record, a row-local stage recomputes only the
+        rows whose input has left the record and copies the record's rows,
+        bit-identical to recomputed ones, for the others.
         """
+        graph = ad.grad_enabled()
+        reuse = not graph and len(layers) == self.layout.n_layers
+        left = np.zeros(layers[0].shape[0], dtype=bool)     # rows off the record so far
         walked = list(layers[:start])
         for l in range(start, self.layout.n_layers):
-            fresh = layers[start] if l == start else self._stage(l, walked[-1])
-            m = mask.layer(l)
-            if m.any():
-                fresh = ad.where(m.reshape(fresh.shape), substitute(l, fresh), fresh)
+            if l == start:
+                fresh = layers[start]
+            elif reuse and l in self.row_local_stages:
+                fresh = self._stage_rows(l, walked[-1], layers[l], left)
+            else:
+                fresh = self._stage(l, walked[-1])
+            rows = mask.masked_rows(l)
+            if graph and rows.any():
+                fresh = ad.where(mask.layer(l).reshape(fresh.shape),
+                                 substitute(l, fresh, slice(None)), fresh)
+            elif rows.any():
+                data = fresh.data.copy() if l == start else fresh.data
+                part = Tensor(data[rows])
+                cond = mask.layer(l)[rows].reshape(part.shape)
+                data[rows] = ad.where(cond, substitute(l, part, rows), part).data
+                fresh = Tensor(data)
+            left |= rows
             walked.append(fresh)
         return walked
+
+    def _stage_rows(self, layer: int, prev: Tensor, recorded: Tensor, rows) -> Tensor:
+        """Stage ``layer`` on the ``rows`` of ``prev``, into a copy of the
+        recorded layer."""
+        out = recorded.data.copy()
+        out[rows] = self._stage(layer, Tensor(prev.data[rows])).data
+        return Tensor(out)
 
     def forward_spliced(self, record: ActivationRecord, mask, imputed):
         """Resume the recorded pass with imputed values at masked positions.
@@ -273,15 +308,22 @@ class _ClassifierBase:
         layer, positions with mask 1 take the imputed pre-activation
         (always behind a stop-gradient barrier) and positions with mask 0
         take the freshly recomputed one. An empty mask reproduces the
-        recorded pass bit-exactly.
+        recorded pass bit-exactly. Under :func:`autodiff.no_grad` only the
+        rows a mask has touched are substituted, and the convolution stages
+        recompute only those rows and copy the record's rows for the others;
+        the logits are the same. With a graph every row is recomputed, so
+        that gradient flows through the fresh pass as before.
         """
         if self.spec.batch_norm:
             raise NotImplementedError("splicing through batch-norm classifiers is unsupported")
-        masked = [l for l in range(self.layout.n_layers) if mask.layer(l).any()]
+        masked = [l for l in range(self.layout.n_layers) if mask.masked_rows(l).any()]
         if not masked:
             return record.logits, ActivationRecord(record.layers, self.layout)
-        layers = self._resume(record.layers, masked[0], mask,
-                              lambda l, fresh: self._layer_constant(imputed, l, fresh.shape))
+
+        def substitute(l, fresh, rows):
+            return self._layer_constant(imputed, l, fresh.shape, rows)
+
+        layers = self._resume(record.layers, masked[0], mask, substitute)
         out = ActivationRecord(layers, self.layout)
         return out.logits, out
 
@@ -292,8 +334,8 @@ class _ClassifierBase:
         if mode not in ("add", "sub"):
             raise ValueError(f"noise mode must be 'add' or 'sub', got {mode!r}")
 
-        def substitute(l, fresh):
-            nl = self._layer_constant(noise, l, fresh.shape)
+        def substitute(l, fresh, rows):
+            nl = self._layer_constant(noise, l, fresh.shape, rows)
             value = nl if mode == "sub" else fresh + nl
             return value if propagate else ad.stop_gradient(value)
 
@@ -338,6 +380,8 @@ class MLPClassifier(_ClassifierBase):
 class CNNClassifier(_ClassifierBase):
     """conv-relu-conv-relu-maxpool-dense-relu-dense, recording every
     pre-activation (conv maps flattened for the record layout)."""
+
+    row_local_stages = (1, 2)     # conv2d runs one GEMM per example
 
     def __init__(self, spec: ClassifierSpec, rng):
         self.spec = spec

@@ -148,6 +148,15 @@ class TestEntropy:
         assert counts[-1] == 60
         np.testing.assert_allclose(edges[-1], np.log(2.0))
 
+    @pytest.mark.parametrize("classes", range(2, 51))
+    def test_uniform_rows_all_counted(self, classes):
+        # a uniform row's entropy can round above ln C; it still belongs in
+        # the last bin
+        preds = np.full((7, classes), 1.0 / classes)
+        _, counts = entropy_histogram(preds, 20)
+        assert counts.sum() == 7
+        assert counts[-1] == 7
+
 
 class TestEnsemble:
     def test_single_member_identity(self):
@@ -291,6 +300,33 @@ class TestMcPredict:
         assert max(sizes) <= 512
         head = mc_predict(bundle, x[:512], 2, "mc_dropout", np.random.default_rng(6))
         assert full[:512].tobytes() == head.tobytes()
+
+
+class TestMcDrawContract:
+    def test_one_mask_impute_and_splice_per_draw(self, monkeypatch):
+        # perfbench's draw clock opens a draw at calibrate.sample_mask and its
+        # tracer times ActivationDGM.impute and forward_spliced(record, mask,
+        # imputed) by these names and this positional signature
+        import pilot.calibrate as calibrate
+        from pilot.dgm import ActivationDGM
+
+        bundle, ds = trained_pilot_bundle()
+        clf = bundle.classifier
+        calls = []
+        sample, impute, splice = calibrate.sample_mask, ActivationDGM.impute, clf.forward_spliced
+        monkeypatch.setattr(calibrate, "sample_mask",
+                            lambda *a, **k: calls.append("mask") or sample(*a, **k))
+        monkeypatch.setattr(ActivationDGM, "impute",
+                            lambda self, *a, **k: calls.append("impute") or impute(self, *a, **k))
+
+        def spliced(*args, **kwargs):
+            assert len(args) == 3 and not kwargs
+            calls.append("splice")
+            return splice(*args)
+
+        monkeypatch.setattr(clf, "forward_spliced", spliced)
+        mc_predict(bundle, ds.x_test[:20], 4, "pilot_mc", np.random.default_rng(0))
+        assert calls == ["mask", "impute", "splice"] * 4
 
 
 class TestEvaluate:

@@ -10,6 +10,7 @@ from pilot.dgm import (
     DGMConfig,
     DiagonalGaussian,
     HyperpriorConfig,
+    PreparedBatch,
     RunningStandardizer,
     gaussian_loglik_masked,
     hyperprior_penalty,
@@ -394,3 +395,97 @@ class TestStandardizer:
         a = np.random.default_rng(37).standard_normal((4, 3))
         np.testing.assert_array_equal(std.transform(a), a)
         np.testing.assert_array_equal(std.untransform(a), a)
+
+
+# Record layouts of a small MLP (6-10-10-3) and a small CNN (2x8x8 input,
+# conv 3 and 4 channels, dense 10, 3 classes).
+BLOCK_LAYOUTS = {"mlp": RecordLayout((6, 10, 10, 3)),
+                 "cnn": RecordLayout((128, 108, 64, 10, 3))}
+
+
+def block_world(kind, hidden=(16, 12), seed=40):
+    """A DGM with a live standardiser and a batch of records for ``kind``."""
+    layout = BLOCK_LAYOUTS[kind]
+    rng = np.random.default_rng(seed)
+    model = ActivationDGM(layout.total, DGMConfig(latent_dim=3, hidden=hidden), rng)
+    scale = rng.uniform(0.5, 3.0, size=layout.total)
+    model.standardizer.update(rng.standard_normal((64, layout.total)) * scale + 1.0)
+    records = rng.standard_normal((24, layout.total)) * scale + 1.0
+    return layout, model, records
+
+
+def dense_copy(mask):
+    """The same mask without its block index: impute takes the dense path."""
+    return Mask(mask.values, mask.mode, mask.rate, mask.layout)
+
+
+class TestBlockImpute:
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
+    @pytest.mark.parametrize("sample", [False, True])
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_matches_dense_path(self, kind, mode, sample, prepared):
+        layout, model, records = block_world(kind)
+        for seed in range(3):
+            mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
+            assert mask.block is not None and (mask.block >= 0).any()
+            rng_block, rng_dense = np.random.default_rng(50 + seed), np.random.default_rng(50 + seed)
+            extra = {"prepared": PreparedBatch(model, records, layout)} if prepared else {}
+            block = model.impute(records, mask, rng_block, sample=sample, **extra)
+            dense = model.impute(records, dense_copy(mask), rng_dense, sample=sample)
+            on = mask.values > 0
+            scale = np.abs(dense[on]).max()
+            np.testing.assert_allclose(block[on], dense[on], rtol=1e-12, atol=1e-12 * scale)
+            assert not block[~on].any() and not dense[~on].any()
+            assert rng_block.bit_generator.state == rng_dense.bit_generator.state
+
+    def test_one_layer_stacks_match_dense_path(self):
+        layout, model, records = block_world("cnn", hidden=())
+        mask = sample_mask("a_aug", 0.7, layout, len(records), np.random.default_rng(4))
+        dense = model.impute(records, dense_copy(mask), np.random.default_rng(5))
+        for extra in ({}, {"prepared": PreparedBatch(model, records, layout)}):
+            block = model.impute(records, mask, np.random.default_rng(5), **extra)
+            np.testing.assert_allclose(block, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+
+    def test_training_prior_pair_gives_same_bits_as_condition(self):
+        layout, model, records = block_world("mlp")
+        mask = sample_mask("a_aug", 0.5, layout, len(records), np.random.default_rng(6))
+        shared = model.condition(records, mask)
+        a = model.impute(records, mask, np.random.default_rng(7), prior=shared)
+        b = model.impute(records, mask, np.random.default_rng(7))
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
+    def test_blind_to_masked_block(self, kind, mode):
+        # criterion 4's barrier on the block paths: the masked block scaled
+        # 25x leaves every output byte unchanged
+        layout, model, records = block_world(kind)
+        mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(8))
+        scaled = np.where(mask.values > 0, records * 25.0, records)
+        for dense in (False, True):
+            m = dense_copy(mask) if dense else mask
+            base = model.impute(records, m, np.random.default_rng(9))
+            again = model.impute(scaled, m, np.random.default_rng(9))
+            assert base.tobytes() == again.tobytes()
+        base = model.impute(records, mask, np.random.default_rng(9),
+                            prepared=PreparedBatch(model, records, layout))
+        again = model.impute(scaled, mask, np.random.default_rng(9),
+                             prepared=PreparedBatch(model, scaled, layout))
+        assert base.tobytes() == again.tobytes()
+
+    def test_empty_block_mask_imputes_zeros_and_draws_latent_noise(self):
+        layout, model, records = block_world("mlp")
+        rng = np.random.default_rng(10)
+        out = model.impute(records, empty_mask(layout, len(records)), rng)
+        assert out.shape == records.shape and not out.any()
+        reference = np.random.default_rng(10)
+        reference.standard_normal((len(records), model.config.latent_dim))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_prepared_batch_must_match_the_mask(self):
+        layout, model, records = block_world("mlp")
+        mask = sample_mask("a_aug", 0.5, layout, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="prepared batch"):
+            model.impute(records[:4], mask, np.random.default_rng(0),
+                         prepared=PreparedBatch(model, records, layout))

@@ -137,3 +137,50 @@ class TestSplice:
         mask = empty_mask(LAYOUT, 2)
         with pytest.raises(ValueError, match="splice"):
             splice(np.zeros((2, 5)), np.zeros((2, 5)), mask)
+
+
+def _a_aug_by_rows(rate, layout, batch, rng):
+    """Reference: the per-row loop ``sample_mask`` used before it assigned
+    one block of rows per layer."""
+    values = np.zeros((batch, layout.total))
+    gate = rng.random(batch) < rate
+    chosen = rng.integers(0, layout.n_layers - 1, size=batch)
+    for i in np.nonzero(gate)[0]:
+        values[i, layout.layer_slice(int(chosen[i]))] = 1.0
+    return values
+
+
+class TestBlockIndex:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_a_aug_values_match_per_row_loop(self, seed):
+        for rate in (0.2, 0.5, 0.9):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            mask = sample_mask("a_aug", rate, LAYOUT, 257, rng_new)
+            reference = _a_aug_by_rows(rate, LAYOUT, 257, rng_old)
+            assert mask.values.tobytes() == reference.tobytes()
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @pytest.mark.parametrize("mode", ["x_aug", "a_aug"])
+    def test_block_index_agrees_with_values(self, mode):
+        mask = sample_mask(mode, 0.6, LAYOUT, 300, np.random.default_rng(8))
+        assert mask.block.shape == (300,)
+        assert set(np.unique(mask.block)) <= set(range(-1, LAYOUT.n_layers - 1))
+        rebuilt = np.zeros_like(mask.values)
+        for i, layer in enumerate(mask.block):
+            if layer >= 0:
+                rebuilt[i, LAYOUT.layer_slice(layer)] = 1.0
+        assert rebuilt.tobytes() == mask.values.tobytes()
+        for layer in range(LAYOUT.n_layers):
+            np.testing.assert_array_equal(mask.masked_rows(layer),
+                                          mask.layer(layer).any(axis=1))
+
+    def test_empty_mask_has_empty_block_index(self):
+        mask = empty_mask(LAYOUT, 5)
+        np.testing.assert_array_equal(mask.block, np.full(5, -1))
+
+    def test_drop_modes_and_hand_built_masks_carry_none(self):
+        for mode in ("x_drop", "a_drop"):
+            assert sample_mask(mode, 0.5, LAYOUT, 4, np.random.default_rng(0)).block is None
+        mask = Mask(np.ones((2, LAYOUT.total)), "a_drop", 0.5, LAYOUT)
+        assert mask.block is None
+        assert mask.masked_rows(3).all()

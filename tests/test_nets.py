@@ -169,6 +169,67 @@ class TestForwardSpliced:
         np.testing.assert_allclose(spliced.layers[0].data, x + 1.0)
 
 
+class TestInferenceSplice:
+    """Without a graph the walk substitutes only masked rows and the conv
+    stages recompute only rows off the record; the bits must not change."""
+
+    @staticmethod
+    def _world(spec_fn, batch=13, seed=60):
+        rng = np.random.default_rng(seed)
+        clf = build_classifier(spec_fn(), rng)
+        x = rng.standard_normal((batch,) + tuple(clf.spec.input_shape))
+        with ad.no_grad():
+            _, record = clf.forward_record(x)
+        imputed = rng.standard_normal((batch, clf.layout.total)) * 2.0
+        return clf, x, record, imputed
+
+    @pytest.mark.parametrize("spec_fn", [mlp_spec, cnn_spec])
+    @pytest.mark.parametrize("mode", ["x_drop", "x_aug", "a_drop", "a_aug"])
+    def test_no_grad_splice_is_byte_identical_to_dense_recompute(self, spec_fn, mode):
+        clf, _, record, imputed = self._world(spec_fn)
+        for seed in range(4):
+            mask = sample_mask(mode, 0.5, clf.layout, 13, np.random.default_rng(seed))
+            dense_logits, dense = clf.forward_spliced(record, mask, imputed)   # graph: every row
+            with ad.no_grad():
+                logits, spliced = clf.forward_spliced(record, mask, imputed)
+            assert logits.data.tobytes() == dense_logits.data.tobytes()
+            for a, b in zip(spliced.layers, dense.layers):
+                assert a.data.tobytes() == b.data.tobytes()
+
+    def test_conv_stages_recompute_only_rows_off_the_record(self, monkeypatch):
+        clf, _, record, imputed = self._world(cnn_spec, batch=16)
+        mask = sample_mask("a_aug", 0.5, clf.layout, 16, np.random.default_rng(3))
+        rows, conv = [], ad.conv2d
+        monkeypatch.setattr(ad, "conv2d", lambda x, w: rows.append(x.shape[0]) or conv(x, w))
+        with ad.no_grad():
+            clf.forward_spliced(record, mask, imputed)
+        off_at_1 = int((mask.block == 0).sum())
+        off_at_2 = int(((mask.block == 0) | (mask.block == 1)).sum())
+        assert rows == [n for n in (off_at_1, off_at_2) if n]
+
+    @pytest.mark.parametrize("noise_mode", ["sub", "add"])
+    def test_no_grad_noised_walk_is_byte_identical(self, noise_mode):
+        clf, x, _, noise = self._world(cnn_spec)
+        mask = sample_mask("a_aug", 0.5, clf.layout, 13, np.random.default_rng(5))
+        dense = clf.forward_noised(x, mask, noise, noise_mode, propagate=True)
+        with ad.no_grad():
+            rows = clf.forward_noised(x, mask, noise, noise_mode, propagate=True)
+        assert rows.data.tobytes() == dense.data.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 9, 16])
+    def test_conv2d_rows_do_not_depend_on_the_batch(self, n):
+        # the premise of the row-local stages: any row subset of a conv2d call
+        # gives, byte for byte, those rows of the full-batch call
+        rng = np.random.default_rng(n)
+        for shape, kernel in (((n, 2, 8, 8), (3, 2, 3, 3)), ((n, 3, 6, 6), (4, 3, 3, 3))):
+            x, w = rng.standard_normal(shape), rng.standard_normal(kernel)
+            full = ad.conv2d(Tensor(x), Tensor(w)).data
+            for size in {1, max(1, n // 2), n}:
+                subset = np.sort(rng.choice(n, size=size, replace=False))
+                part = ad.conv2d(Tensor(x[subset]), Tensor(w)).data
+                assert part.tobytes() == full[subset].tobytes()
+
+
 class TestForwardNoised:
     def test_sub_empty_mask_is_vanilla(self):
         rng = np.random.default_rng(12)
