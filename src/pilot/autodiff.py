@@ -234,12 +234,19 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # -- elementwise arithmetic ----------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _operands(op: str, forward, a, b):
+    """Both operands as tensors, and ``forward`` (a numpy ufunc) of their
+    data; operands that do not broadcast raise a :class:`ShapeError` naming
+    ``op``."""
     a, b = as_tensor(a), as_tensor(b)
     try:
-        data = a.data + b.data
+        return a, b, forward(a.data, b.data)
     except ValueError:
-        raise ShapeError("add", a.shape, b.shape) from None
+        raise ShapeError(op, a.shape, b.shape) from None
+
+
+def add(a, b) -> Tensor:
+    a, b, data = _operands("add", np.add, a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -251,11 +258,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError("sub", a.shape, b.shape) from None
+    a, b, data = _operands("sub", np.subtract, a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -267,11 +270,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError("mul", a.shape, b.shape) from None
+    a, b, data = _operands("mul", np.multiply, a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -283,11 +282,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeError("div", a.shape, b.shape) from None
+    a, b, data = _operands("div", np.divide, a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -470,19 +465,23 @@ def sqrt(x) -> Tensor:
 # -- reductions -------------------------------------------------------------
 
 
+def _accumulate_reduced(x: Tensor, g, axis, keepdims) -> None:
+    """Accumulate into ``x`` the gradient ``g`` of a reduction of ``x`` over
+    ``axis``, broadcast back over the reduced axes: a fresh array when every
+    axis was reduced, a copied view otherwise."""
+    if axis is None:
+        _accumulate(x, np.broadcast_to(g, x.shape).copy() if np.ndim(g) else np.full(x.shape, g),
+                    fresh=True)
+    else:
+        _accumulate(x, np.broadcast_to(g if keepdims else np.expand_dims(g, axis), x.shape))
+
+
 def tsum(x, axis=None, keepdims=False) -> Tensor:
     x = as_tensor(x)
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.shape).copy() if np.ndim(g) else np.full(x.shape, g),
-                        fresh=True)
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(gg, x.shape))
+        _accumulate_reduced(x, g, axis, keepdims)
 
     return _make(data, "sum", (x,), backward)
 
@@ -493,13 +492,7 @@ def tmean(x, axis=None, keepdims=False) -> Tensor:
     count = x.data.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
 
     def backward(g):
-        if axis is None:
-            _accumulate(x, np.full(x.shape, g / count), fresh=True)
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(gg / count, x.shape))
+        _accumulate_reduced(x, g / count, axis, keepdims)
 
     return _make(data, "mean", (x,), backward)
 

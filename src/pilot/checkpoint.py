@@ -39,7 +39,7 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
     arrays = []
     offset = 0
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")     # ascontiguousarray would make a 0-d array 1-d
         arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         entries.append(
             {

@@ -41,6 +41,8 @@ def _parse_cifar_file(path) -> tuple:
         offset = len(raw) - len(raw) % CIFAR_RECORD
         raise DataError(f"{path}: truncated record at byte {offset} "
                         f"(file length {len(raw)} is not a multiple of {CIFAR_RECORD})")
+    if not raw:
+        raise DataError(f"{path}: holds no records")
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     labels = arr[:, 0].astype(np.int64)
     bad = np.nonzero(labels > 9)[0]
@@ -102,6 +104,8 @@ def load_raw_tensor(path):
         raise DataError(f"{path}: images must be (N, C, H, W), got {images.shape}")
     if len(images) != len(labels):
         raise DataError(f"{path}: images count {len(images)} != labels count {len(labels)}")
+    if not len(images):
+        raise DataError(f"{path}: split holds no examples")
     if np.issubdtype(images.dtype, np.integer):
         images = images.astype(np.float64) / 255.0
     else:

@@ -62,10 +62,6 @@ class DiagonalGaussian:
         self.mean = mean
         self.logvar = logvar
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1]
-
     def sigma(self) -> Tensor:
         return ad.exp(self.logvar * 0.5)
 
@@ -281,16 +277,6 @@ class ActivationDGM:
         self.decoder = _DenseStack([2 * record_dim + dz, *hidden, record_dim], rng, "dec", self.registry)
         self.standardizer = RunningStandardizer(record_dim, enabled=config.standardize)
 
-    # -- parameter groups ----------------------------------------------------
-
-    def phi_parameters(self):
-        """Variational-posterior (encoder) parameters."""
-        return self.encoder.parameters()
-
-    def theta_parameters(self):
-        """Generative (prior network + decoder) parameters."""
-        return self.prior_net.parameters() + self.decoder.parameters()
-
     def parameters(self):
         return self.registry.parameters()
 
@@ -409,8 +395,8 @@ class ActivationDGM:
                 e = rng.standard_normal((n, dz))
                 decoder, rows = prepared.decoder, covered
                 h = self.prior_net.hidden_from_first(prepared.prior(rows, groups))
-                out_p = self.prior_net.output_cols(h)
-                z = out_p[:, :dz] + np.exp(out_p[:, dz:] * 0.5) * e[covered]
+                p = self._split(Tensor(self.prior_net.output_cols(h)))
+                z = reparam_sample(p, e[covered]).data
         noise = rng.standard_normal((n, total)) if sample else None
         h = self.decoder.hidden_from_first(decoder(rows, groups, z))
         out = np.zeros((n, total))

@@ -65,16 +65,12 @@ def sample_mask(mode: str, rate: float, layout: RecordLayout, batch: int, rng) -
     if mode == "x_drop":
         sl = layout.layer_slice(0)
         values[:, sl] = rng.random((batch, layout.sizes[0])) < rate
-    elif mode == "x_aug":
-        gate = rng.random(batch) < rate
-        values[gate, layout.layer_slice(0)] = 1.0
-        block = np.where(gate, 0, -1)
     elif mode == "a_drop":
         maskable = layout.total - layout.sizes[last]
         values[:, :maskable] = rng.random((batch, maskable)) < rate
-    else:  # a_aug
+    else:  # x_aug, a_aug
         gate = rng.random(batch) < rate
-        chosen = rng.integers(0, last, size=batch)
+        chosen = rng.integers(0, last, size=batch) if mode == "a_aug" else 0
         block = np.where(gate, chosen, -1)
         for layer in range(last):
             values[block == layer, layout.layer_slice(layer)] = 1.0

@@ -85,14 +85,6 @@ class ActivationRecord:
         n = self.batch_size
         return np.concatenate([t.data.reshape(n, -1) for t in self.layers], axis=1)
 
-    def unflatten(self, flat: np.ndarray):
-        """Split a (batch, total) array back into per-layer-shaped arrays."""
-        out = []
-        for i, t in enumerate(self.layers):
-            sl = self.layout.layer_slice(i)
-            out.append(flat[:, sl].reshape(t.shape))
-        return out
-
 
 class Registry:
     """Ordered name -> Tensor map of a model's parameters and buffers.
@@ -317,13 +309,12 @@ class _ClassifierBase:
         if self.spec.batch_norm:
             raise NotImplementedError("splicing through batch-norm classifiers is unsupported")
         masked = [l for l in range(self.layout.n_layers) if mask.masked_rows(l).any()]
-        if not masked:
-            return record.logits, ActivationRecord(record.layers, self.layout)
 
         def substitute(l, fresh, rows):
             return self._layer_constant(imputed, l, fresh.shape, rows)
 
-        layers = self._resume(record.layers, masked[0], mask, substitute)
+        start = min(masked, default=self.layout.n_layers)    # nothing masked: the record as it is
+        layers = self._resume(record.layers, start, mask, substitute)
         out = ActivationRecord(layers, self.layout)
         return out.logits, out
 
@@ -417,29 +408,24 @@ class CNNClassifier(_ClassifierBase):
     def _stage(self, layer, prev, train=False, dropout_rate=0.0, rng=None):
         if layer == 1:
             z = ad.conv2d(prev, self.w1) + ad.reshape(self.b1, (1, -1, 1, 1))
-            if self.bn:
-                z = self.bn[0].apply(z, train)
-            return z
-        if layer == 2:
+        elif layer == 2:
             z = ad.conv2d(ad.relu(prev), self.w2) + ad.reshape(self.b2, (1, -1, 1, 1))
-            if self.bn:
-                z = self.bn[1].apply(z, train)
-            return z
-        if layer == 3:
+        elif layer == 3:
             pooled = ad.max_pool2d(ad.relu(prev), self.spec.pool)
             h = ad.reshape(pooled, (prev.shape[0], -1))
             if dropout_rate:
                 h = dropout_mask_apply(h, dropout_rate, rng, train)
             z = ad.matmul(h, self.w3) + self.b3
-            if self.bn:
-                z = self.bn[2].apply(z, train)
-            return z
-        if layer == 4:
+        elif layer == 4:
             h = ad.relu(prev)
             if dropout_rate:
                 h = dropout_mask_apply(h, dropout_rate, rng, train)
-            return ad.matmul(h, self.w4) + self.b4
-        raise ValueError(f"cnn has no stage {layer}")
+            z = ad.matmul(h, self.w4) + self.b4
+        else:
+            raise ValueError(f"cnn has no stage {layer}")
+        if self.bn is not None and layer < self.layout.n_layers - 1:
+            z = self.bn[layer - 1].apply(z, train)
+        return z
 
 
 def build_classifier(spec: ClassifierSpec, rng):

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
 from .checkpoint import ContainerError, load_tensors, save_tensors
 from .dgm import ActivationDGM, DGMConfig, HyperpriorConfig
-from .masks import sample_mask
+from .masks import _check_mode, sample_mask
 from .nets import ClassifierSpec, build_classifier
 # global_norm and clip_gradients are not called here any more (Adam.step
 # clips), but stay importable from this module: perfbench's tracer wraps them
@@ -53,8 +53,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r} (expected one of {METHODS})")
-        if self.method in MASKED_METHODS and self.mask_mode is None:
-            raise ValueError(f"method {self.method!r} requires a mask mode")
+        if self.method in MASKED_METHODS:
+            if self.mask_mode is None:
+                raise ValueError(f"method {self.method!r} requires a mask mode")
+            _check_mode(self.mask_mode, self.mask_rate)
         if self.epochs < 1 or self.batch_size < 1 or self.n_impute < 1:
             raise ValueError("epochs, batch_size and n_impute must be positive")
 

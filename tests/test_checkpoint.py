@@ -28,6 +28,19 @@ class TestRoundTrip:
             np.testing.assert_array_equal(loaded[name], arr)
             assert loaded[name].dtype == arr.dtype
 
+    def test_scalar_and_empty_tensors_keep_their_shape(self, tmp_path):
+        tensors = {
+            "scalar": np.array(3.0),
+            "empty": np.zeros((0, 3)),
+            "f_order": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        }
+        path = tmp_path / "shapes.ptc"
+        save_tensors(path, tensors)
+        loaded, _ = load_tensors(path)
+        for name, arr in tensors.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
+
     def test_empty_meta_default(self, tmp_path):
         path = tmp_path / "bare.ptc"
         save_tensors(path, {"a": np.ones(3)})

@@ -86,6 +86,47 @@ class TestTrainCommand:
     def test_usage_error_without_subcommand(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("setting,bad", [("mask.mode=bogus", "'bogus'"),
+                                             ("mask.mode=a_aug\nmask.rate=1.5", "1.5")])
+    def test_bad_mask_setting_fails_before_writing(self, tmp_path, capsys, setting, bad):
+        cfg = tmp_path / "bad_mask.cfg"
+        text = BLOB_CONFIG.format(method="pilot", epochs=1)
+        cfg.write_text(text.replace("mask.mode=a_aug", setting))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert bad in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=1, extra="train.lr=1e200\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_raw_tensor_split_is_data_error(self, tmp_path, capsys, empty):
+        rng = np.random.default_rng(0)
+        for split in ("train", "test"):
+            n = 0 if split == empty else 8
+            save_raw_tensor(tmp_path / f"{split}.ptc", rng.random((n, 1, 8, 8)), np.arange(n) % 2)
+        cfg = tmp_path / "raw.cfg"
+        cfg.write_text(f"dataset.kind=raw_tensor\ndataset.train_path={tmp_path / 'train.ptc'}\n"
+                       f"dataset.test_path={tmp_path / 'test.ptc'}\ntrain.epochs=1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{empty}.ptc" in err
+
+    def test_empty_cifar_batch_is_data_error(self, tmp_path, capsys):
+        record = bytes([1]) + bytes(3 * 32 * 32)
+        for i in range(1, 6):
+            (tmp_path / f"data_batch_{i}.bin").write_bytes(record * 2)
+        (tmp_path / "test_batch.bin").write_bytes(b"")
+        cfg = tmp_path / "cifar.cfg"
+        cfg.write_text(f"dataset.kind=cifar10_binary\ndataset.path={tmp_path}\ntrain.epochs=1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "test_batch.bin" in err
+
 
 class TestEvalCommand:
     def test_writes_report_artifacts(self, tmp_path):
@@ -204,6 +245,13 @@ class TestCompareCommand:
 
     def test_missing_report_is_data_error(self, tmp_path):
         assert main(["compare", str(tmp_path / "nope.json")]) == 2
+
+    def test_without_out_prints_to_stdout(self, tmp_path, capsys):
+        paths = self._reports(tmp_path)
+        assert main(["compare", *[str(p) for p in paths]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(COMPARE_COLUMNS)
+        assert len(lines) == 3
 
 
 # Loaded at interpreter start: after the command has run, count the threads of

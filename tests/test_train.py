@@ -1,15 +1,18 @@
 """Trainer: losses, gradient separation, noise baselines, augmentation, loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pilot import autodiff as ad
 from pilot.autodiff import Tensor
-from pilot.data import synth_blobs
+from pilot.data import Dataset, synth_blobs
 from pilot.dgm import ActivationDGM, DGMConfig
 from pilot.masks import empty_mask, sample_mask
 from pilot.nets import ClassifierSpec, build_classifier
 from pilot.optim import Adam
+from pilot.references import reference_for
 from pilot.train import (
     LOG_COLUMNS,
     TrainConfig,
@@ -30,6 +33,17 @@ def blob_setup(seed=0, classes=3, hidden=(12, 12), dim=4, per_class=60, separati
     ds = synth_blobs(classes, per_class, dim, separation, seed=seed)
     spec = ClassifierSpec(kind="mlp", input_shape=(dim,), num_classes=classes, hidden=hidden)
     return ds, spec
+
+
+def cnn_setup(seed=0):
+    """3-class blobs as 2x8x8 images, and a small CNN for them."""
+    ds = synth_blobs(3, 20, 128, 3.0, seed=seed)
+    shape = (2, 8, 8)
+    images = Dataset(ds.x_train.reshape(-1, *shape), ds.y_train, ds.x_test.reshape(-1, *shape),
+                     ds.y_test, 3, shape)
+    spec = ClassifierSpec(kind="cnn", input_shape=shape, num_classes=3, conv_channels=(3, 4),
+                          dense_width=10)
+    return images, spec
 
 
 class TestCrossEntropy:
@@ -319,6 +333,37 @@ class TestTrainLoop:
         _, log = train(spec, cfg, ds)
         assert log.rows[-1].val_acc > 0.95
         assert len(log.rows) == 30
+
+    @pytest.mark.parametrize("method,mode,label", [("add_noise", "a_aug", "add_a_aug"),
+                                                   ("sub_noise", "x_drop", "sub_x_drop")])
+    def test_noise_methods_train_and_label_their_bundle(self, method, mode, label):
+        ds, spec = blob_setup(seed=40)
+        cfg = TrainConfig(method=method, mask_mode=mode, mask_rate=0.5, epochs=1, batch_size=32,
+                          seed=3)
+        bundle, log = train(spec, cfg, ds)
+        assert np.isfinite(log.rows[-1].loss_act)
+        assert bundle.label == label
+        assert reference_for("mlp", "cifar10", bundle.label) is not None
+
+    def test_cnn_dropout_trains_and_predicts_deterministically(self):
+        ds, spec = cnn_setup(seed=41)
+        cfg = TrainConfig(method="dropout", epochs=1, batch_size=16, seed=4)
+        bundle, log = train(spec, cfg, ds)
+        assert np.isfinite(log.rows[-1].loss_act)
+        plain, _ = train(spec, dataclasses.replace(cfg, method="vanilla"), ds)
+        assert not np.array_equal(bundle.classifier.w4.data, plain.classifier.w4.data)
+        np.testing.assert_array_equal(bundle.predict(ds.x_test), bundle.predict(ds.x_test))
+
+    def test_cnn_batch_norm_trains_and_moves_running_statistics(self):
+        ds, spec = cnn_setup(seed=42)
+        cfg = TrainConfig(method="batch_norm", epochs=1, batch_size=16, seed=5)
+        bundle, log = train(spec, cfg, ds)
+        assert np.isfinite(log.rows[-1].loss_act)
+        assert len(bundle.classifier.bn) == 3
+        for bn in bundle.classifier.bn:
+            assert np.all(bn.running_mean.data != 0.0)
+            assert np.all(bn.running_var.data != 1.0)
+        np.testing.assert_array_equal(bundle.predict(ds.x_test), bundle.predict(ds.x_test))
 
     def test_empty_dataset_rejected(self):
         ds, spec = blob_setup()
