@@ -311,6 +311,126 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
+def _blocks(offsets, end: int) -> list:
+    """``(start, stop)`` of each block: block l runs from ``offsets[l]`` up
+    to the next offset, and the last one up to ``end``."""
+    return list(zip(offsets, list(offsets[1:]) + [end]))
+
+
+def block_row_sums(w: np.ndarray, offsets) -> np.ndarray:
+    """``b @ w`` under a block mask is the masked block's row sum of ``w``.
+
+    Returns the row sums of ``w``'s blocks (:func:`_blocks`), stacked.
+    """
+    sums = np.empty((len(offsets), w.shape[1]), dtype=w.dtype)
+    for out, (start, stop) in zip(sums, _blocks(offsets, len(w))):
+        w[start:stop].sum(axis=0, out=out)
+    return sums
+
+
+def block_mask_matmul(x, w, block, offsets, z=None) -> Tensor:
+    """``[x, b, z] @ w`` for a block mask ``b`` of ``x``'s shape, without
+    forming ``b`` (no ``z``: ``[x, b] @ w``).
+
+    ``block[i]`` is the one block row i masks whole, or -1 for none; the
+    blocks split ``x``'s columns at ``offsets`` (:func:`_blocks`). ``w``
+    stacks the rows that multiply ``x``, then those for ``b``, then those for
+    ``z``. The forward is one GEMM over ``x``'s columns, plus each row's
+    block row sum (:func:`block_row_sums`), plus ``z @ w_z``. Backward writes
+    each part of ``dw`` in place: ``x.T @ g``; on the rows of block l, the sum
+    of ``g`` over the rows that chose l (0 where none did); ``z.T @ g``. Both
+    passes go through the (n, blocks) 0/1 membership matrix: its product with
+    the row sums gives each row its block's sum exactly, and its transpose's
+    product with ``g`` gives the sums per block.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    z = None if z is None else as_tensor(z)
+    block = np.asarray(block)
+    shapes = (x.shape, w.shape, block.shape) + (() if z is None else (z.shape,))
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError("block_mask_matmul", *shapes)
+    n, k = x.shape
+    dz = 0 if z is None else z.shape[-1]
+    if w.shape[0] != 2 * k + dz or block.shape != (n,) or (z is not None and z.shape != (n, dz)):
+        raise ShapeError("block_mask_matmul", *shapes)
+    member = (block[:, None] == np.arange(len(offsets))).astype(DEFAULT_DTYPE)
+    data = x.data @ w.data[:k]
+    data += member @ block_row_sums(w.data[k : 2 * k], offsets)
+    if z is not None:
+        data += z.data @ w.data[2 * k :]
+
+    def backward(g):
+        if w.requires_grad:
+            dw = np.empty_like(w.data)
+            np.matmul(x.data.T, g, out=dw[:k])
+            for block_sum, (start, stop) in zip(member.T @ g, _blocks(offsets, k)):
+                dw[k + start : k + stop] = block_sum
+            if z is not None:
+                np.matmul(z.data.T, g, out=dw[2 * k :])
+            _accumulate(w, dw, fresh=True)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data[:k].T, fresh=True)
+        if z is not None and z.requires_grad:
+            _accumulate(z, g @ w.data[2 * k :].T, fresh=True)
+
+    parents = (x, w) if z is None else (x, w, z)
+    return _make(data, "block_mask_matmul", parents, backward)
+
+
+def grouped_linear(h, w, b, groups) -> Tensor:
+    """``h @ w + b`` at the positions ``groups`` name, and nowhere else.
+
+    Each group is a pair ``(rows, cols)``: row indices into ``h`` and a
+    slice of output columns; no two groups share a row or a column. Its
+    values are ``h[rows] @ w[:, cols] + b[cols]``, raveled; the output is
+    every group's values, concatenated in order into one 1-D tensor.
+    ``w=None`` stands for the identity: ``h[rows, cols] + b[cols]``. Since
+    the groups are disjoint, backward writes each group's part of every
+    gradient in place.
+    """
+    h, b = as_tensor(h), as_tensor(b)
+    w = None if w is None else as_tensor(w)
+    shapes = (h.shape, b.shape) if w is None else (h.shape, w.shape, b.shape)
+    if h.ndim != 2 or (w is not None and (w.ndim != 2 or w.shape[0] != h.shape[1])):
+        raise ShapeError("grouped_linear", *shapes)
+    width = (h if w is None else w).shape[1]
+    if b.shape != (width,):
+        raise ShapeError("grouped_linear", *shapes)
+    sizes = [len(rows) * len(range(width)[cols]) for rows, cols in groups]
+    bounds = np.cumsum([0, *sizes])
+    data = np.empty(bounds[-1], dtype=DEFAULT_DTYPE)
+    for (rows, cols), start, stop in zip(groups, bounds, bounds[1:]):
+        out = data[start:stop].reshape(len(rows), -1)
+        if w is None:
+            np.add(h.data[rows, cols], b.data[cols], out=out)
+        else:
+            np.matmul(h.data[rows], w.data[:, cols], out=out)
+            out += b.data[cols]
+
+    def backward(g):
+        dh = np.zeros_like(h.data) if h.requires_grad else None
+        dw = np.zeros_like(w.data) if w is not None and w.requires_grad else None
+        db = np.zeros_like(b.data) if b.requires_grad else None
+        for (rows, cols), start, stop in zip(groups, bounds, bounds[1:]):
+            gr = g[start:stop].reshape(len(rows), -1)
+            if db is not None:
+                np.sum(gr, axis=0, out=db[cols])
+            if w is None:
+                if dh is not None:
+                    dh[rows, cols] = gr
+                continue
+            if dw is not None:
+                np.matmul(h.data[rows].T, gr, out=dw[:, cols])
+            if dh is not None:
+                dh[rows] = gr @ w.data[:, cols].T
+        for t, d in ((h, dh), (w, dw), (b, db)):
+            if d is not None:
+                _accumulate(t, d, fresh=True)
+
+    parents = (h, b) if w is None else (h, w, b)
+    return _make(data, "grouped_linear", parents, backward)
+
+
 # Rows of a batch per im2col block: the patch matrices of one block are all a
 # convolution holds at a time, whatever the batch size.
 CONV_BLOCK_ROWS = 4
@@ -592,6 +712,8 @@ PRIMITIVES = {
     "mul": mul,
     "div": div,
     "matmul": matmul,
+    "block_mask_matmul": block_mask_matmul,
+    "grouped_linear": grouped_linear,
     "conv2d": conv2d,
     "max_pool2d": max_pool2d,
     "relu": relu,

@@ -17,6 +17,8 @@ import ctypes
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import BLAS_CAPPED_AT_LOAD, config as cfgmod
 from .autodiff import NumericsError
 from .calibrate import CalibrationReport, evaluate
@@ -228,7 +230,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "compare":
             return cmd_compare(args)
-        with _one_blas_thread() if args.deterministic else contextlib.nullcontext():
+        # numpy's overflow and invalid-value warnings would precede the
+        # message: the NumericsError checks name the failing value instead.
+        with (_one_blas_thread() if args.deterministic else contextlib.nullcontext(),
+              np.errstate(over="ignore", invalid="ignore", divide="ignore")):
             return cmd_train(args) if args.command == "train" else cmd_eval(args)
     except (UsageError, ConfigError, ValueError) as err:
         if isinstance(err, (DataError, ContainerError)):

@@ -85,12 +85,16 @@ def kl_diag(q: DiagonalGaussian, p: DiagonalGaussian) -> Tensor:
     return term.sum(axis=1) * 0.5
 
 
-def gaussian_loglik_masked(target: np.ndarray, mean: Tensor, mask_values: np.ndarray,
+def gaussian_loglik_masked(target: np.ndarray, mean: Tensor, mask_values: np.ndarray | None,
                            variance: float) -> Tensor:
-    """Sum of log N(target | mean, variance) over masked positions, per example."""
+    """Sum of log N(target | mean, variance) over masked positions, per example
+    (over the last axis). ``mask_values=None`` counts every position: the
+    values given are the masked ones alone."""
     t = Tensor(np.asarray(target))
     resid = ad.square(t - mean) / variance + float(np.log(2.0 * np.pi * variance))
-    return (Tensor(mask_values) * resid).sum(axis=1) * (-0.5)
+    if mask_values is not None:
+        resid = Tensor(mask_values) * resid
+    return resid.sum(axis=-1) * (-0.5)
 
 
 def hyperprior_penalty(prior: DiagonalGaussian, cfg: HyperpriorConfig) -> Tensor:
@@ -186,12 +190,33 @@ class _DenseStack:
             self.weights.append(registry.param(f"{prefix}.{i}.W", w))
             self.biases.append(registry.param(f"{prefix}.{i}.b", np.zeros(dims[i + 1])))
 
-    def __call__(self, h: Tensor) -> Tensor:
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.matmul(h, w) + b
-            if i < len(self.weights) - 1:
-                h = ad.relu(h)
-        return h
+    def __call__(self, x: np.ndarray, mask: Mask, z: Tensor | None = None, groups=None) -> Tensor:
+        """The stack on the input ``[x, mask.values, z]`` (no ``z``: ``[x, mask.values]``).
+
+        Under a block mask the first layer is one
+        :func:`autodiff.block_mask_matmul`, which never forms the mask's half
+        of the input, and ``groups`` (:func:`block_groups`) restricts the
+        output to the masked positions. Any other mask is concatenated into
+        the input, and every output position is computed."""
+        if mask.block is None:
+            x = ad.concat([x, mask.values] + ([] if z is None else [z]), axis=1)
+            return self.from_first(ad.matmul(x, self.weights[0]))
+        h = ad.block_mask_matmul(x, self.weights[0], mask.block, mask.layout.offsets, z)
+        return self.from_first(h, groups)
+
+    def from_first(self, h: Tensor, groups=None) -> Tensor:
+        """The output from the first layer's product ``h``, bias not yet
+        added. With ``groups``, only the output positions they name, as
+        :func:`autodiff.grouped_linear`'s 1-D tensor."""
+        last = len(self.weights) - 1
+        for i in range(1, last + 1):
+            h = ad.relu(h + self.biases[i - 1])
+            if i == last and groups is not None:
+                return ad.grouped_linear(h, self.weights[i], self.biases[i], groups)
+            h = ad.matmul(h, self.weights[i])
+        if groups is not None:      # the first layer is the output layer
+            return ad.grouped_linear(h, None, self.biases[-1], groups)
+        return h + self.biases[-1]
 
     def parameters(self):
         out = []
@@ -200,7 +225,10 @@ class _DenseStack:
         return out
 
     # Without a graph, from the first layer's pre-activation on: the rows
-    # under a block mask (see ``_BlockInput``).
+    # under a block mask (see ``_BlockInput``). Imputation walks the stack
+    # with these rather than with :meth:`from_first` under ``no_grad``:
+    # there the graph ops' wrappers took about 90 us of a 4.8 ms step at the
+    # benchmark's blobs shapes (one BLAS thread).
 
     def hidden_from_first(self, h: np.ndarray) -> np.ndarray:
         """The pre-activation the output layer takes, from the first layer's."""
@@ -215,17 +243,25 @@ class _DenseStack:
         return np.maximum(h, 0.0) @ self.weights[-1].data[:, cols] + self.biases[-1].data[cols]
 
 
+def block_groups(mask: Mask) -> list:
+    """The positions a block mask covers, as :func:`autodiff.grouped_linear`
+    takes them: a ``(rows, cols)`` pair per layer that some row masks."""
+    layout = mask.layout
+    return [(rows, layout.layer_slice(layer)) for layer in range(layout.n_layers)
+            if len(rows := np.flatnonzero(mask.block == layer))]
+
+
 class _BlockInput:
     """A stack's first layer, by record block, for rows that each mask one
     whole layer.
 
     The stack's input is ``[a_std * (1 - b), b, extra]``. For a row that
     masks layer l, the first layer is the sum over every other layer k of
-    ``a_std[:, k] @ W_a[k]``, plus the rows of ``W_b`` summed over layer l,
-    plus ``extra @ W_extra`` and the bias. The products are computed once
-    for ``a_std``'s rows. The masked layer's own product is left out of the
-    sum, not subtracted from a total, so no masked value reaches the result,
-    not even at roundoff.
+    ``a_std[:, k] @ W_a[k]``, plus the rows of ``W_b`` summed over layer l
+    (:func:`autodiff.block_row_sums`), plus ``extra @ W_extra`` and the
+    bias. The products are computed once for ``a_std``'s rows. The masked
+    layer's own product is left out of the sum, not subtracted from a total,
+    so no masked value reaches the result, not even at roundoff.
     """
 
     def __init__(self, stack: _DenseStack, a_std: np.ndarray, layout):
@@ -233,7 +269,7 @@ class _BlockInput:
         total = layout.total
         layers = [layout.layer_slice(k) for k in range(layout.n_layers)]
         self.products = [a_std[:, sl] @ w[sl] for sl in layers]
-        self.mask_sums = [w[total + sl.start : total + sl.stop].sum(axis=0) for sl in layers]
+        self.mask_sums = ad.block_row_sums(w[total : 2 * total], layout.offsets)
         self.w_extra = w[2 * total :]
         self.bias = stack.biases[0].data
 
@@ -288,14 +324,12 @@ class ActivationDGM:
 
     def encode(self, a_std: np.ndarray, mask: Mask) -> DiagonalGaussian:
         """q(z | a, b): conditioned on the full record."""
-        x = np.concatenate([np.asarray(a_std), mask.values], axis=1)
-        return self._split(self.encoder(Tensor(x)))
+        return self._split(self.encoder(np.asarray(a_std), mask))
 
     def prior(self, a_std: np.ndarray, mask: Mask) -> DiagonalGaussian:
         """p(z | a_(1-b), b): masked positions zero-filled before input."""
         observed = np.asarray(a_std) * (1.0 - mask.values)
-        x = np.concatenate([observed, mask.values], axis=1)
-        return self._split(self.prior_net(Tensor(x)))
+        return self._split(self.prior_net(observed, mask))
 
     def condition(self, a_flat: np.ndarray, mask: Mask):
         """The standardised record and its prior p(z | a_(1-b), b), as the
@@ -304,10 +338,15 @@ class ActivationDGM:
         a_std = self.standardizer.transform(np.asarray(a_flat))
         return a_std, self.prior(a_std, mask)
 
-    def decode_mean(self, a_std: np.ndarray, mask: Mask, z: Tensor) -> Tensor:
-        observed = Tensor(np.asarray(a_std) * (1.0 - mask.values))
-        x = ad.concat([observed, Tensor(mask.values), z], axis=1)
-        return self.decoder(x)
+    def decode_mean(self, a_std: np.ndarray, mask: Mask, z: Tensor, groups=None) -> Tensor:
+        """The decoder's mean given ``z``: (batch, total) for a dense mask.
+        Under a block mask only the masked positions are computed, as
+        :func:`autodiff.grouped_linear`'s 1-D tensor over ``groups``
+        (default: :func:`block_groups` of ``mask``)."""
+        observed = np.asarray(a_std) * (1.0 - mask.values)
+        if mask.block is not None and groups is None:
+            groups = block_groups(mask)
+        return self.decoder(observed, mask, z, groups)
 
     # -- objectives --------------------------------------------------------------
 
@@ -319,6 +358,11 @@ class ActivationDGM:
         reparameterisation noise (one (batch, dz) array per z sample) for
         deterministic gradient checks. ``prior`` is :meth:`condition`'s pair
         for this record and mask, built with gradients enabled.
+
+        A block mask (one that carries ``mask.block``) takes the block path:
+        no first layer forms the mask half of its input, and the decoder's
+        output layer and the likelihood run on the masked blocks alone (see
+        :meth:`decode_mean`). It equals the dense path up to reassociation.
         """
         a_std, p = self.condition(a_flat, mask) if prior is None else prior
         q = self.encode(a_std, mask)
@@ -330,13 +374,23 @@ class ActivationDGM:
             eps = [rng.standard_normal((n, dz)) for _ in range(n_z)]
         elif isinstance(eps, np.ndarray):
             eps = [eps]
+        groups = None if mask.block is None else block_groups(mask)
+        if groups is None:
+            target, seen, scale = a_std, mask.values, 1.0 / len(eps)
+        else:
+            # The decoder's mean covers the masked values alone, so each
+            # draw's log-likelihood is the batch's sum: the row mean is taken
+            # here, and broadcasts against the per-row KL and penalty.
+            target = np.concatenate([a_std[rows, cols].ravel() for rows, cols in groups]
+                                    or [np.zeros(0)])
+            seen, scale = None, 1.0 / (len(eps) * n)
         recon = None
         for e in eps:
             z = reparam_sample(q, e)
-            mean = self.decode_mean(a_std, mask, z)
-            ll = gaussian_loglik_masked(a_std, mean, mask.values, self.config.decoder_variance)
+            mean = self.decode_mean(a_std, mask, z, groups)
+            ll = gaussian_loglik_masked(target, mean, seen, self.config.decoder_variance)
             recon = ll if recon is None else recon + ll
-        recon = recon * (1.0 / len(eps))
+        recon = recon * scale
         kl = kl_diag(q, p)
         penalty = hyperprior_penalty(p, self.config.hyperprior)
         lam = (recon - kl - penalty).mean()

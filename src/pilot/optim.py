@@ -8,11 +8,17 @@ from .autodiff import Tensor
 
 
 def global_norm(grads) -> float:
-    """L2 norm of the concatenation of all gradient arrays."""
+    """L2 norm of the concatenation of all gradient arrays.
+
+    Each array's squares are summed by one dot product of its flat view
+    with itself, so no squared copy is allocated (a non-contiguous array is
+    flattened into one copy first).
+    """
     total = 0.0
     for g in grads:
         if g is not None:
-            total += float(np.sum(np.asarray(g) ** 2))
+            flat = np.ravel(g)
+            total += float(np.vdot(flat, flat))
     return float(np.sqrt(total))
 
 

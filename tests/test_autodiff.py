@@ -163,6 +163,35 @@ class TestPrimitiveGradients:
             return [a, b], lambda: ad.where(m, a, b).sum()
         self._run(case)
 
+    def test_block_mask_matmul(self):
+        offsets = (0, 2, 5)                     # blocks of 2, 3 and 1 columns
+        def case(rng):
+            x, w, z = _param(rng, 5, 6), _param(rng, 14, 3), _param(rng, 5, 2)
+            block = np.array([0, -1, 2, 1, 0])
+            return [x, w, z], lambda: ad.square(ad.block_mask_matmul(x, w, block, offsets, z)).sum()
+        self._run(case)
+
+    def test_block_mask_matmul_without_z(self):
+        def case(rng):
+            x, w = _param(rng, 4, 5), _param(rng, 10, 3)
+            block = rng.integers(-1, 2, size=4)
+            return [x, w], lambda: ad.square(ad.block_mask_matmul(x, w, block, (0, 3))).sum()
+        self._run(case)
+
+    def test_grouped_linear(self):
+        groups = [(np.array([0, 3]), slice(0, 2)), (np.array([4, 1, 5]), slice(2, 6))]
+        def case(rng):
+            h, w, b = _param(rng, 6, 4), _param(rng, 4, 7), _param(rng, 7)
+            return [h, w, b], lambda: ad.square(ad.grouped_linear(h, w, b, groups)).sum()
+        self._run(case)
+
+    def test_grouped_linear_identity(self):
+        groups = [(np.array([2]), slice(1, 4)), (np.array([0, 1]), slice(4, 5))]
+        def case(rng):
+            h, b = _param(rng, 3, 5), _param(rng, 5)
+            return [h, b], lambda: ad.square(ad.grouped_linear(h, None, b, groups)).sum()
+        self._run(case)
+
     def test_stop_gradient_blocks(self):
         rng = np.random.default_rng(5)
         x = _param(rng, 4)
@@ -202,6 +231,59 @@ class TestTrivialExamples:
     def test_softmax_values(self):
         out = ad.softmax(Tensor([[np.log(1.0), np.log(3.0)]]), axis=1)
         np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-12)
+
+
+class TestBlockOps:
+    """The block-mask primitives against the dense products they stand for."""
+
+    def test_block_mask_matmul_is_the_concatenated_product(self):
+        rng = np.random.default_rng(11)
+        offsets = (0, 4, 5)                     # blocks of 4, 1 and 3 columns
+        x, z = rng.standard_normal((6, 8)), rng.standard_normal((6, 2))
+        w = rng.standard_normal((18, 5))
+        block = np.array([1, -1, 0, 2, 0, -1])
+        b = np.zeros_like(x)
+        for i, layer in enumerate(block):
+            if layer >= 0:
+                b[i, offsets[layer] : (offsets + (8,))[layer + 1]] = 1.0
+        dense = np.concatenate([x, b, z], axis=1) @ w
+        np.testing.assert_allclose(ad.block_mask_matmul(x, w, block, offsets, z).data, dense,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ad.block_mask_matmul(x, w[:16], block, offsets).data,
+                                   np.concatenate([x, b], axis=1) @ w[:16], rtol=1e-12, atol=1e-12)
+
+    def test_block_mask_matmul_gradient_is_block_constant(self):
+        rng = np.random.default_rng(12)
+        x, w = rng.standard_normal((5, 6)), Tensor(rng.standard_normal((12, 3)), requires_grad=True)
+        block = np.array([0, 0, -1, 1, 0])
+        g = rng.standard_normal((5, 3))
+        (ad.block_mask_matmul(x, w, block, (0, 2)) * Tensor(g)).sum().backward()
+        np.testing.assert_allclose(w.grad[:6], x.T @ g, rtol=1e-12)
+        np.testing.assert_allclose(w.grad[6:8], np.tile(g[[0, 1, 4]].sum(axis=0), (2, 1)), rtol=1e-12)
+        np.testing.assert_allclose(w.grad[8:], np.tile(g[3], (4, 1)), rtol=1e-12)
+
+    def test_grouped_linear_is_the_dense_product_at_the_groups(self):
+        rng = np.random.default_rng(13)
+        h, w, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 6)), rng.standard_normal(6)
+        groups = [(np.array([3, 0]), slice(0, 4)), (np.array([2]), slice(4, 6))]
+        dense = h @ w + b
+        expected = np.concatenate([dense[[3, 0], :4].ravel(), dense[[2], 4:].ravel()])
+        np.testing.assert_allclose(ad.grouped_linear(h, w, b, groups).data, expected, rtol=1e-12)
+        np.testing.assert_array_equal(ad.grouped_linear(h @ w, None, b, groups).data,
+                                      np.concatenate([(h @ w + b)[[3, 0], :4].ravel(),
+                                                      (h @ w + b)[[2], 4:].ravel()]))
+        assert ad.grouped_linear(h, w, b, []).shape == (0,)
+
+    def test_shape_errors_name_the_op(self):
+        x, w = np.ones((2, 3)), np.ones((7, 4))
+        with pytest.raises(ShapeError, match="block_mask_matmul"):
+            ad.block_mask_matmul(x, w, np.zeros(2, dtype=int), (0,))
+        with pytest.raises(ShapeError, match="block_mask_matmul"):
+            ad.block_mask_matmul(x, w[:6], np.zeros(3, dtype=int), (0,))
+        with pytest.raises(ShapeError, match="grouped_linear"):
+            ad.grouped_linear(np.ones((2, 4)), np.ones((3, 5)), np.ones(5), [])
+        with pytest.raises(ShapeError, match="grouped_linear"):
+            ad.grouped_linear(np.ones((2, 4)), None, np.ones(5), [])
 
 
 class TestMLPGradient:

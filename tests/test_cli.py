@@ -103,6 +103,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
         assert capsys.readouterr().err.startswith("numerical failure:")
 
+    def test_numerical_failure_is_the_first_stderr_line(self, tmp_path):
+        # in a child process, where numpy's RuntimeWarnings reach stderr itself
+        cfg = write_config(tmp_path, epochs=1, extra="train.lr=1e200\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "pilot", "train", "--config", str(cfg),
+                              "--out", str(tmp_path / "run")],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.splitlines()[0].startswith("numerical failure:")
+        assert "RuntimeWarning" not in run.stderr
+
     @pytest.mark.parametrize("empty", ["train", "test"])
     def test_empty_raw_tensor_split_is_data_error(self, tmp_path, capsys, empty):
         rng = np.random.default_rng(0)

@@ -403,11 +403,11 @@ BLOCK_LAYOUTS = {"mlp": RecordLayout((6, 10, 10, 3)),
                  "cnn": RecordLayout((128, 108, 64, 10, 3))}
 
 
-def block_world(kind, hidden=(16, 12), seed=40):
+def block_world(kind, hidden=(16, 12), seed=40, n_z=1):
     """A DGM with a live standardiser and a batch of records for ``kind``."""
     layout = BLOCK_LAYOUTS[kind]
     rng = np.random.default_rng(seed)
-    model = ActivationDGM(layout.total, DGMConfig(latent_dim=3, hidden=hidden), rng)
+    model = ActivationDGM(layout.total, DGMConfig(latent_dim=3, hidden=hidden, n_z=n_z), rng)
     scale = rng.uniform(0.5, 3.0, size=layout.total)
     model.standardizer.update(rng.standard_normal((64, layout.total)) * scale + 1.0)
     records = rng.standard_normal((24, layout.total)) * scale + 1.0
@@ -489,3 +489,77 @@ class TestBlockImpute:
         with pytest.raises(ValueError, match="prepared batch"):
             model.impute(records[:4], mask, np.random.default_rng(0),
                          prepared=PreparedBatch(model, records, layout))
+
+
+def elbo_and_gradients(model, records, mask, eps):
+    for p in model.parameters():
+        p.grad = None
+    lam, diag = model.lambda_elbo(records, mask, eps=eps)
+    lam.backward()
+    return float(lam.data), diag, [p.grad for p in model.parameters()]
+
+
+class TestBlockElbo:
+    """The ELBO under a block mask (first layers without the mask half, the
+    decoder head and likelihood on the masked block alone) against the dense
+    path on the same mask."""
+
+    def assert_matches_dense(self, model, records, mask):
+        eps = [np.random.default_rng(60 + i).standard_normal((len(records), model.config.latent_dim))
+               for i in range(model.config.n_z)]
+        lam, diag, grads = elbo_and_gradients(model, records, mask, eps)
+        lam_d, diag_d, grads_d = elbo_and_gradients(model, records, dense_copy(mask), eps)
+        np.testing.assert_allclose(lam, lam_d, rtol=1e-12)
+        assert diag.keys() == diag_d.keys()
+        for name in diag:
+            np.testing.assert_allclose(diag[name], diag_d[name], rtol=1e-12, atol=1e-300)
+        for p, g, g_d in zip(model.parameters(), grads, grads_d):
+            assert g is not None and g.shape == p.shape
+            np.testing.assert_allclose(g, g_d, rtol=1e-12, atol=1e-12 * np.abs(g_d).max())
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
+    @pytest.mark.parametrize("n_z", [1, 2])
+    def test_matches_dense_path(self, kind, mode, n_z):
+        layout, model, records = block_world(kind, n_z=n_z)
+        for seed in range(2):
+            mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
+            assert (mask.block >= 0).any() and (mask.block < 0).any()
+            self.assert_matches_dense(model, records, mask)
+
+    def test_batch_with_no_masked_row(self):
+        layout, model, records = block_world("cnn")
+        mask = empty_mask(layout, len(records))
+        self.assert_matches_dense(model, records, mask)
+        _, diag = model.lambda_elbo(records, mask, rng=np.random.default_rng(0))
+        assert diag["recon"] == 0.0
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_one_layer_stacks_match_dense_path(self, kind):
+        # hidden=(): the decoder's first layer is its output layer
+        layout, model, records = block_world(kind, hidden=())
+        mask = sample_mask("a_aug", 0.7, layout, len(records), np.random.default_rng(3))
+        self.assert_matches_dense(model, records, mask)
+
+    def test_gradients_match_finite_differences(self):
+        model = tiny_dgm(seed=41)
+        a = np.random.default_rng(42).standard_normal((5, LAYOUT.total))
+        mask = Mask(np.zeros((5, LAYOUT.total)), "a_aug", 0.5, LAYOUT, block=np.array([0, -1, 1, 0, 1]))
+        for row, layer in enumerate(mask.block):
+            if layer >= 0:
+                mask.values[row, LAYOUT.layer_slice(layer)] = 1.0
+        eps = np.random.default_rng(43).standard_normal((5, TINY.latent_dim))
+        check_gradients(lambda: model.lambda_elbo(a, mask, eps=eps)[0], model.parameters(), tol=1e-3)
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
+    def test_prior_blind_to_masked_block(self, kind, mode):
+        layout, model, records = block_world(kind)
+        mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(8))
+        a_std = model.standardizer.transform(records)
+        scaled = np.where(mask.values > 0, a_std * 25.0 - 3.0, a_std)
+        base, again = model.prior(a_std, mask), model.prior(scaled, mask)
+        assert base.mean.data.tobytes() == again.mean.data.tobytes()
+        assert base.logvar.data.tobytes() == again.logvar.data.tobytes()
+        assert not np.array_equal(model.encode(a_std, mask).mean.data,
+                                  model.encode(scaled, mask).mean.data)

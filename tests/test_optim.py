@@ -111,6 +111,28 @@ class TestClipGradients:
         np.testing.assert_allclose(clipped[0], [3.0, 4.0])
 
 
+class TestGlobalNorm:
+    def test_matches_sum_of_squares(self):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((40, 30))
+        grads = [
+            None,
+            np.array(-2.5),                         # 0-d
+            base.T,                                 # transposed view
+            base[::2, 1:],                          # strided view
+            1e3 * rng.standard_normal(7),
+            np.zeros((3, 0)),                       # empty
+            np.asfortranarray(rng.standard_normal((5, 6))),
+        ]
+        assert not grads[2].flags.c_contiguous and not grads[3].flags.c_contiguous
+        expected = np.sqrt(sum(np.sum(g ** 2) for g in grads if g is not None))
+        assert abs(global_norm(grads) - expected) <= 1e-13 * expected
+
+    def test_no_gradients_is_zero(self):
+        assert global_norm([None, None]) == 0.0
+        assert global_norm([]) == 0.0
+
+
 def _reference_step(state, params, grads, max_norm, lr, b1=0.9, b2=0.999, eps=1e-8):
     """clip_gradients followed by the textbook out-of-place Adam update."""
     clipped = clip_gradients(grads, max_norm)
