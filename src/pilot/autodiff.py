@@ -311,70 +311,28 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
-def _blocks(offsets, end: int) -> list:
-    """``(start, stop)`` of each block: block l runs from ``offsets[l]`` up
-    to the next offset, and the last one up to ``end``."""
-    return list(zip(offsets, list(offsets[1:]) + [end]))
+def block_row_sums(w, offsets) -> Tensor:
+    """The row sums of ``w``'s blocks, stacked into a (blocks, columns) tensor.
 
-
-def block_row_sums(w: np.ndarray, offsets) -> np.ndarray:
-    """``b @ w`` under a block mask is the masked block's row sum of ``w``.
-
-    Returns the row sums of ``w``'s blocks (:func:`_blocks`), stacked.
+    Block l runs from row ``offsets[l]`` up to the next offset, and the last
+    one up to the end; ``offsets[0]`` is 0. Under a block mask ``b``,
+    ``b @ w`` is ``member @ block_row_sums(w, offsets)``, with ``member`` the
+    (rows, blocks) 0/1 matrix of the block each row masks. Backward repeats
+    each block's gradient row over that block's rows.
     """
-    sums = np.empty((len(offsets), w.shape[1]), dtype=w.dtype)
-    for out, (start, stop) in zip(sums, _blocks(offsets, len(w))):
-        w[start:stop].sum(axis=0, out=out)
-    return sums
-
-
-def block_mask_matmul(x, w, block, offsets, z=None) -> Tensor:
-    """``[x, b, z] @ w`` for a block mask ``b`` of ``x``'s shape, without
-    forming ``b`` (no ``z``: ``[x, b] @ w``).
-
-    ``block[i]`` is the one block row i masks whole, or -1 for none; the
-    blocks split ``x``'s columns at ``offsets`` (:func:`_blocks`). ``w``
-    stacks the rows that multiply ``x``, then those for ``b``, then those for
-    ``z``. The forward is one GEMM over ``x``'s columns, plus each row's
-    block row sum (:func:`block_row_sums`), plus ``z @ w_z``. Backward writes
-    each part of ``dw`` in place: ``x.T @ g``; on the rows of block l, the sum
-    of ``g`` over the rows that chose l (0 where none did); ``z.T @ g``. Both
-    passes go through the (n, blocks) 0/1 membership matrix: its product with
-    the row sums gives each row its block's sum exactly, and its transpose's
-    product with ``g`` gives the sums per block.
-    """
-    x, w = as_tensor(x), as_tensor(w)
-    z = None if z is None else as_tensor(z)
-    block = np.asarray(block)
-    shapes = (x.shape, w.shape, block.shape) + (() if z is None else (z.shape,))
-    if x.ndim != 2 or w.ndim != 2:
-        raise ShapeError("block_mask_matmul", *shapes)
-    n, k = x.shape
-    dz = 0 if z is None else z.shape[-1]
-    if w.shape[0] != 2 * k + dz or block.shape != (n,) or (z is not None and z.shape != (n, dz)):
-        raise ShapeError("block_mask_matmul", *shapes)
-    member = (block[:, None] == np.arange(len(offsets))).astype(DEFAULT_DTYPE)
-    data = x.data @ w.data[:k]
-    data += member @ block_row_sums(w.data[k : 2 * k], offsets)
-    if z is not None:
-        data += z.data @ w.data[2 * k :]
+    w = as_tensor(w)
+    bounds = [*offsets, len(w.data)]
+    sizes = np.diff(bounds)
+    if w.ndim != 2 or len(offsets) == 0 or offsets[0] != 0 or (sizes < 0).any():
+        raise ShapeError("block_row_sums", w.shape, (len(offsets),))
+    data = np.empty((len(offsets), w.shape[1]), dtype=DEFAULT_DTYPE)
+    for out, start, stop in zip(data, bounds, bounds[1:]):
+        w.data[start:stop].sum(axis=0, out=out)
 
     def backward(g):
-        if w.requires_grad:
-            dw = np.empty_like(w.data)
-            np.matmul(x.data.T, g, out=dw[:k])
-            for block_sum, (start, stop) in zip(member.T @ g, _blocks(offsets, k)):
-                dw[k + start : k + stop] = block_sum
-            if z is not None:
-                np.matmul(z.data.T, g, out=dw[2 * k :])
-            _accumulate(w, dw, fresh=True)
-        if x.requires_grad:
-            _accumulate(x, g @ w.data[:k].T, fresh=True)
-        if z is not None and z.requires_grad:
-            _accumulate(z, g @ w.data[2 * k :].T, fresh=True)
+        _accumulate(w, np.repeat(g, sizes, axis=0), fresh=True)
 
-    parents = (x, w) if z is None else (x, w, z)
-    return _make(data, "block_mask_matmul", parents, backward)
+    return _make(data, "block_row_sums", (w,), backward)
 
 
 def grouped_linear(h, w, b, groups) -> Tensor:
@@ -712,7 +670,7 @@ PRIMITIVES = {
     "mul": mul,
     "div": div,
     "matmul": matmul,
-    "block_mask_matmul": block_mask_matmul,
+    "block_row_sums": block_row_sums,
     "grouped_linear": grouped_linear,
     "conv2d": conv2d,
     "max_pool2d": max_pool2d,

@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import save_tensors
 from .dgm import PreparedBatch
 from .masks import BLOCK_MODES, sample_mask
-from .nets import READ_BATCH
+from .nets import READ_BATCH, require_positive
 from . import autodiff as ad
 
 PROB_FLOOR = 1e-12
@@ -34,8 +34,7 @@ class EvalConfig:
     model_id: str = ""
 
     def __post_init__(self):
-        if self.n_bins < 1:
-            raise ValueError("need at least one confidence bin")
+        require_positive(self, "n_bins", "entropy_bins", "mc_samples")
         if self.mode not in ("plain", "pilot_mc", "mc_dropout"):
             raise ValueError(f"unknown eval mode {self.mode!r}")
 

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"PTC1"
-VERSION = 1
+VERSION = 2         # 2: the DGM's first-layer weights are stored by row block
+READABLE = (1, 2)
 _ALIGN = 64
 
 
@@ -102,7 +103,7 @@ def load_tensors(path):
             raise ContainerError(f"{path}: unreadable header: {err}") from None
         if not isinstance(header, dict):
             raise ContainerError(f"{path}: header is a JSON {type(header).__name__}, not an object")
-        if header.get("version") != VERSION:
+        if header.get("version") not in READABLE:
             raise ContainerError(f"{path}: unsupported container version {header.get('version')!r}")
         if not isinstance(header.get("tensors"), list) or not isinstance(header.get("meta", {}), dict):
             raise ContainerError(f"{path}: header needs a 'tensors' list and a 'meta' object")

@@ -2,7 +2,7 @@
 
 An encoder q(z | a, b) sees the full record; a conditional prior
 p(z | a_(1-b), b) sees only unmasked values (masked positions zero-filled,
-the mask concatenated as extra input features); a Gaussian decoder with
+the mask as extra input features); a Gaussian decoder with
 fixed variance scores the masked positions. The per-example evidence lower
 bound combines masked reconstruction, the analytic KL between encoder and
 prior, and a Normal-Gamma hyperprior penalty on the prior's outputs.
@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
 from .masks import Mask
-from .nets import Registry, normal_init
+from .nets import Registry, normal_init, require_positive
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,7 @@ class DGMConfig:
     impute_sample: bool = False         # sample the likelihood instead of its mean
 
     def __post_init__(self):
-        if self.decoder_variance <= 0:
-            raise ValueError("decoder variance must be positive")
-        if self.n_z < 1:
-            raise ValueError("n_z must be at least 1")
+        require_positive(self, "latent_dim", "hidden", "decoder_variance", "n_z")
 
 
 class DiagonalGaussian:
@@ -177,70 +174,81 @@ class RunningStandardizer:
 
 
 class _DenseStack:
-    """Plain relu MLP; final layer linear with damped init for stable heads.
-    Its tensors go into ``registry`` as ``<prefix>.<i>.W`` / ``.b``."""
+    """Plain relu MLP on ``[x, b]`` (``[x, b, z]`` with a latent input); final
+    layer linear with damped init for stable heads. The first layer's weight
+    is drawn whole and registered by row block: ``<prefix>.0.Wa`` for ``x``,
+    ``.0.Wb`` for ``b``, ``.0.Wz`` for ``z``. Later ones are ``weights``,
+    ``<prefix>.<i>.W``; each layer's bias is ``<prefix>.<i>.b``."""
 
-    def __init__(self, dims, rng, prefix: str, registry: Registry):
+    def __init__(self, record_dim: int, latent_in: int, widths, rng, prefix: str, registry: Registry):
+        dims = [2 * record_dim + latent_in, *widths]
         self.weights = []
         self.biases = []
         for i in range(len(dims) - 1):
             fan_in = dims[i]
             scale = np.sqrt(2.0 / fan_in) if i < len(dims) - 2 else 0.1 * np.sqrt(1.0 / fan_in)
             w = normal_init(rng, scale, (dims[i], dims[i + 1]))
-            self.weights.append(registry.param(f"{prefix}.{i}.W", w))
+            if i == 0:
+                wa, wb, wz = np.split(w, [record_dim, 2 * record_dim])
+                self.wa = registry.param(f"{prefix}.0.Wa", wa)
+                self.wb = registry.param(f"{prefix}.0.Wb", wb)
+                self.wz = registry.param(f"{prefix}.0.Wz", wz) if latent_in else None
+            else:
+                self.weights.append(registry.param(f"{prefix}.{i}.W", w))
             self.biases.append(registry.param(f"{prefix}.{i}.b", np.zeros(dims[i + 1])))
 
-    def __call__(self, x: np.ndarray, mask: Mask, z: Tensor | None = None, groups=None) -> Tensor:
-        """The stack on the input ``[x, mask.values, z]`` (no ``z``: ``[x, mask.values]``).
-
-        Under a block mask the first layer is one
-        :func:`autodiff.block_mask_matmul`, which never forms the mask's half
-        of the input, and ``groups`` (:func:`block_groups`) restricts the
-        output to the masked positions. Any other mask is concatenated into
-        the input, and every output position is computed."""
+    def first(self, x: np.ndarray, mask: Mask, z: Tensor | None = None) -> Tensor:
+        """The first layer's product with ``[x, mask.values, z]``, bias not yet
+        added. Under a block mask, ``mask.values @ Wb`` is the (rows, layers)
+        0/1 membership times :func:`autodiff.block_row_sums` of ``Wb``."""
         if mask.block is None:
-            x = ad.concat([x, mask.values] + ([] if z is None else [z]), axis=1)
-            return self.from_first(ad.matmul(x, self.weights[0]))
-        h = ad.block_mask_matmul(x, self.weights[0], mask.block, mask.layout.offsets, z)
-        return self.from_first(h, groups)
+            b_wb = ad.matmul(mask.values, self.wb)
+        else:
+            member = mask.block[:, None] == np.arange(mask.layout.n_layers)
+            b_wb = ad.matmul(member, ad.block_row_sums(self.wb, mask.layout.offsets))
+        h = ad.matmul(x, self.wa) + b_wb
+        return h if z is None else h + ad.matmul(z, self.wz)
 
-    def from_first(self, h: Tensor, groups=None) -> Tensor:
-        """The output from the first layer's product ``h``, bias not yet
-        added. With ``groups``, only the output positions they name, as
-        :func:`autodiff.grouped_linear`'s 1-D tensor."""
-        last = len(self.weights) - 1
-        for i in range(1, last + 1):
-            h = ad.relu(h + self.biases[i - 1])
-            if i == last and groups is not None:
-                return ad.grouped_linear(h, self.weights[i], self.biases[i], groups)
-            h = ad.matmul(h, self.weights[i])
+    def __call__(self, x: np.ndarray, mask: Mask, z: Tensor | None = None, groups=None) -> Tensor:
+        """The stack on the input ``[x, mask.values, z]`` (no ``z``:
+        ``[x, mask.values]``). With ``groups`` (:func:`block_groups`), only
+        the output positions they name, as :func:`autodiff.grouped_linear`'s
+        1-D tensor."""
+        h = self.first(x, mask, z)
+        for i, w in enumerate(self.weights):
+            h = ad.relu(h + self.biases[i])
+            if groups is not None and i == len(self.weights) - 1:
+                return ad.grouped_linear(h, w, self.biases[-1], groups)
+            h = ad.matmul(h, w)
         if groups is not None:      # the first layer is the output layer
             return ad.grouped_linear(h, None, self.biases[-1], groups)
         return h + self.biases[-1]
 
     def parameters(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out += [w, b]
-        return out
+        return [t for t in (self.wa, self.wb, self.wz, *self.weights, *self.biases) if t is not None]
 
     # Without a graph, from the first layer's pre-activation on: the rows
     # under a block mask (see ``_BlockInput``). Imputation walks the stack
-    # with these rather than with :meth:`from_first` under ``no_grad``:
-    # there the graph ops' wrappers took about 90 us of a 4.8 ms step at the
+    # with these rather than with ``__call__`` under ``no_grad``: there the
+    # graph ops' wrappers took about 90 us of a 4.8 ms step at the
     # benchmark's blobs shapes (one BLAS thread).
 
     def hidden_from_first(self, h: np.ndarray) -> np.ndarray:
         """The pre-activation the output layer takes, from the first layer's."""
-        for w, b in zip(self.weights[1:-1], self.biases[1:-1]):
+        for w, b in zip(self.weights[:-1], self.biases[1:-1]):
             h = np.maximum(h, 0.0) @ w.data + b.data
         return h
 
     def output_cols(self, h: np.ndarray, cols=slice(None)) -> np.ndarray:
         """The output columns ``cols`` from :meth:`hidden_from_first`'s ``h``."""
-        if len(self.weights) == 1:      # h is the output layer's own
+        if not self.weights:        # h is the output layer's own
             return h[:, cols]
         return np.maximum(h, 0.0) @ self.weights[-1].data[:, cols] + self.biases[-1].data[cols]
+
+
+def _observed(a_std: np.ndarray, mask: Mask) -> np.ndarray:
+    """The record the prior and the decoder see: masked positions zero-filled."""
+    return np.asarray(a_std) * (1.0 - mask.values)
 
 
 def block_groups(mask: Mask) -> list:
@@ -257,20 +265,18 @@ class _BlockInput:
 
     The stack's input is ``[a_std * (1 - b), b, extra]``. For a row that
     masks layer l, the first layer is the sum over every other layer k of
-    ``a_std[:, k] @ W_a[k]``, plus the rows of ``W_b`` summed over layer l
-    (:func:`autodiff.block_row_sums`), plus ``extra @ W_extra`` and the
-    bias. The products are computed once for ``a_std``'s rows. The masked
-    layer's own product is left out of the sum, not subtracted from a total,
-    so no masked value reaches the result, not even at roundoff.
+    ``a_std[:, k] @ Wa[k]``, plus the rows of ``Wb`` summed over layer l
+    (:func:`autodiff.block_row_sums`), plus ``extra @ Wz`` and the bias. The
+    products are computed once for ``a_std``'s rows. The masked layer's own
+    product is left out of the sum, not subtracted from a total, so no
+    masked value reaches the result, not even at roundoff.
     """
 
     def __init__(self, stack: _DenseStack, a_std: np.ndarray, layout):
-        w = stack.weights[0].data
-        total = layout.total
         layers = [layout.layer_slice(k) for k in range(layout.n_layers)]
-        self.products = [a_std[:, sl] @ w[sl] for sl in layers]
-        self.mask_sums = ad.block_row_sums(w[total : 2 * total], layout.offsets)
-        self.w_extra = w[2 * total :]
+        self.products = [a_std[:, sl] @ stack.wa.data[sl] for sl in layers]
+        self.mask_sums = ad.block_row_sums(stack.wb.data, layout.offsets).data
+        self.wz = None if stack.wz is None else stack.wz.data
         self.bias = stack.biases[0].data
 
     def __call__(self, rows: np.ndarray, groups, extra: np.ndarray | None = None) -> np.ndarray:
@@ -282,7 +288,7 @@ class _BlockInput:
             others = [p[rows[g]] for k, p in enumerate(self.products) if k != layer]
             h[g] = sum(others[1:], others[0]) + self.mask_sums[layer]
         if extra is not None:
-            h += extra @ self.w_extra
+            h += extra @ self.wz
         return h + self.bias
 
 
@@ -305,12 +311,11 @@ class ActivationDGM:
     def __init__(self, record_dim: int, config: DGMConfig, rng):
         self.record_dim = record_dim
         self.config = config
-        dz = config.latent_dim
-        hidden = list(config.hidden)
+        dz, hidden = config.latent_dim, config.hidden
         self.registry = Registry()
-        self.encoder = _DenseStack([2 * record_dim, *hidden, 2 * dz], rng, "enc", self.registry)
-        self.prior_net = _DenseStack([2 * record_dim, *hidden, 2 * dz], rng, "pri", self.registry)
-        self.decoder = _DenseStack([2 * record_dim + dz, *hidden, record_dim], rng, "dec", self.registry)
+        self.encoder = _DenseStack(record_dim, 0, [*hidden, 2 * dz], rng, "enc", self.registry)
+        self.prior_net = _DenseStack(record_dim, 0, [*hidden, 2 * dz], rng, "pri", self.registry)
+        self.decoder = _DenseStack(record_dim, dz, [*hidden, record_dim], rng, "dec", self.registry)
         self.standardizer = RunningStandardizer(record_dim, enabled=config.standardize)
 
     def parameters(self):
@@ -326,27 +331,29 @@ class ActivationDGM:
         """q(z | a, b): conditioned on the full record."""
         return self._split(self.encoder(np.asarray(a_std), mask))
 
-    def prior(self, a_std: np.ndarray, mask: Mask) -> DiagonalGaussian:
-        """p(z | a_(1-b), b): masked positions zero-filled before input."""
-        observed = np.asarray(a_std) * (1.0 - mask.values)
+    def prior(self, a_std: np.ndarray, mask: Mask, observed=None) -> DiagonalGaussian:
+        """p(z | a_(1-b), b): masked positions zero-filled before input
+        (``observed``, when the caller has formed it: :func:`_observed`)."""
+        if observed is None:
+            observed = _observed(a_std, mask)
         return self._split(self.prior_net(observed, mask))
 
     def condition(self, a_flat: np.ndarray, mask: Mask):
-        """The standardised record and its prior p(z | a_(1-b), b), as the
-        ``(a_std, prior)`` pair that :meth:`impute` and :meth:`lambda_elbo`
-        take as ``prior=``, so that both share one prior pass."""
+        """The standardised record, its observed part and its prior, as the
+        ``(a_std, observed, prior)`` triple that :meth:`impute` and
+        :meth:`lambda_elbo` take as ``prior=``: both share one of each."""
         a_std = self.standardizer.transform(np.asarray(a_flat))
-        return a_std, self.prior(a_std, mask)
+        observed = _observed(a_std, mask)
+        return a_std, observed, self.prior(a_std, mask, observed)
 
     def decode_mean(self, a_std: np.ndarray, mask: Mask, z: Tensor, groups=None) -> Tensor:
         """The decoder's mean given ``z``: (batch, total) for a dense mask.
         Under a block mask only the masked positions are computed, as
         :func:`autodiff.grouped_linear`'s 1-D tensor over ``groups``
         (default: :func:`block_groups` of ``mask``)."""
-        observed = np.asarray(a_std) * (1.0 - mask.values)
         if mask.block is not None and groups is None:
             groups = block_groups(mask)
-        return self.decoder(observed, mask, z, groups)
+        return self.decoder(_observed(a_std, mask), mask, z, groups)
 
     # -- objectives --------------------------------------------------------------
 
@@ -356,15 +363,15 @@ class ActivationDGM:
         Returns ``(scalar Tensor, diagnostics)`` where diagnostics expose the
         reconstruction, KL, and penalty terms as floats. ``eps`` pins the
         reparameterisation noise (one (batch, dz) array per z sample) for
-        deterministic gradient checks. ``prior`` is :meth:`condition`'s pair
-        for this record and mask, built with gradients enabled.
+        deterministic gradient checks. ``prior`` is :meth:`condition`'s
+        triple for this record and mask, built with gradients enabled.
 
         A block mask (one that carries ``mask.block``) takes the block path:
-        no first layer forms the mask half of its input, and the decoder's
-        output layer and the likelihood run on the masked blocks alone (see
-        :meth:`decode_mean`). It equals the dense path up to reassociation.
+        no first layer forms the mask, and the decoder's output layer and the
+        likelihood run on the masked blocks alone. It equals the dense path up
+        to reassociation.
         """
-        a_std, p = self.condition(a_flat, mask) if prior is None else prior
+        a_std, observed, p = self.condition(a_flat, mask) if prior is None else prior
         q = self.encode(a_std, mask)
         n, dz = a_std.shape[0], self.config.latent_dim
         n_z = self.config.n_z
@@ -387,7 +394,7 @@ class ActivationDGM:
         recon = None
         for e in eps:
             z = reparam_sample(q, e)
-            mean = self.decode_mean(a_std, mask, z, groups)
+            mean = self.decoder(observed, mask, z, groups)
             ll = gaussian_loglik_masked(target, mean, seen, self.config.decoder_variance)
             recon = ll if recon is None else recon + ll
         recon = recon * scale
@@ -420,7 +427,7 @@ class ActivationDGM:
         only the masked layer's columns. ``prepared`` is the
         :class:`PreparedBatch` of this batch of records: with it the prior
         also runs on the masked rows alone, from the prepared products.
-        Without it the prior is ``prior``, :meth:`condition`'s pair for this
+        Without it the prior is ``prior``, :meth:`condition`'s triple for this
         record and mask (none of its graph is extended here), or a fresh
         :meth:`condition`. A mask without a block index takes the dense path
         over every row and column. Both paths draw the same noise from
@@ -438,7 +445,7 @@ class ActivationDGM:
                   if len(g := np.flatnonzero(block == layer))]
         with ad.no_grad():
             if prepared is None:
-                a_std, p = self.condition(a_flat, mask) if prior is None else prior
+                a_std, _, p = self.condition(a_flat, mask) if prior is None else prior
                 e = rng.standard_normal(p.mean.shape)
                 z = reparam_sample(p, e).data[covered]
                 decoder = _BlockInput(self.decoder, a_std[covered], mask.layout)
@@ -464,10 +471,10 @@ class ActivationDGM:
 
     def _impute_dense(self, a_flat, mask: Mask, rng, sample: bool, prior) -> np.ndarray:
         with ad.no_grad():
-            a_std, p = self.condition(a_flat, mask) if prior is None else prior
+            _, observed, p = self.condition(a_flat, mask) if prior is None else prior
             e = rng.standard_normal(p.mean.shape)
             z = reparam_sample(p, e)
-            mean = self.decode_mean(a_std, mask, z).data
+            mean = self.decoder(observed, mask, z).data
         if sample:
             mean = mean + rng.standard_normal(mean.shape) * np.sqrt(self.config.decoder_variance)
         return np.where(mask.values > 0, self.standardizer.untransform(mean), 0.0)
@@ -480,3 +487,15 @@ class ActivationDGM:
     def load_state(self, arrays: dict) -> None:
         self.registry.load_state(arrays)
         self.standardizer.load_state(arrays)
+
+    def split_first_layers(self, arrays: dict) -> dict:
+        """``arrays`` with each version-1 first-layer weight ``<stack>.0.W``
+        split, exactly, into its row blocks ``.0.Wa``, ``.0.Wb`` and
+        ``.0.Wz``; a wrong height leaves the last block the wrong shape."""
+        arrays = dict(arrays)
+        r = self.record_dim
+        for stack, cuts in (("enc", [r]), ("pri", [r]), ("dec", [r, 2 * r])):
+            if (w := arrays.pop(f"{stack}.0.W", None)) is not None:
+                names = (f"{stack}.0.{part}" for part in ("Wa", "Wb", "Wz"))
+                arrays.update(zip(names, np.split(w, cuts)))
+        return arrays

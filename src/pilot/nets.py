@@ -41,6 +41,16 @@ class ClassifierSpec:
             raise ValueError("mlp needs at least one hidden layer")
         if self.kind == "cnn" and len(self.input_shape) != 3:
             raise ValueError("cnn input shape must be (C, H, W)")
+        require_positive(self, "hidden", "conv_channels", "kernel_size", "pool", "dense_width")
+
+
+def require_positive(config, *names) -> None:
+    """Raise a ValueError naming the first of ``config``'s fields ``names``
+    that is not positive; a tuple field must be positive in every entry."""
+    for name in names:
+        value = getattr(config, name)
+        if not all(v > 0 for v in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .autodiff import NumericsError, Tensor
 from .checkpoint import ContainerError, load_tensors, save_tensors
 from .dgm import ActivationDGM, DGMConfig, HyperpriorConfig
 from .masks import _check_mode, sample_mask
-from .nets import ClassifierSpec, build_classifier
+from .nets import ClassifierSpec, build_classifier, require_positive
 # global_norm and clip_gradients are not called here any more (Adam.step
 # clips), but stay importable from this module: perfbench's tracer wraps them
 # here.
@@ -57,8 +57,12 @@ class TrainConfig:
             if self.mask_mode is None:
                 raise ValueError(f"method {self.method!r} requires a mask mode")
             _check_mode(self.mask_mode, self.mask_rate)
-        if self.epochs < 1 or self.batch_size < 1 or self.n_impute < 1:
-            raise ValueError("epochs, batch_size and n_impute must be positive")
+        require_positive(self, "epochs", "batch_size", "n_impute", "lr_classifier", "lr_dgm",
+                         "clip_norm")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        if not self.noise_variance >= 0.0:
+            raise ValueError(f"noise_variance must not be negative, got {self.noise_variance}")
 
 
 # -- losses -------------------------------------------------------------------
@@ -323,8 +327,10 @@ class TrainedBundle:
     @classmethod
     def load(cls, path) -> "TrainedBundle":
         """Read a bundle ``save`` wrote. The models are built without an
-        initialisation (no random draw) and every tensor is then loaded;
-        ``ContainerError`` names a missing meta entry or tensor."""
+        initialisation (no random draw) and every tensor is then loaded; a
+        version-1 bundle's DGM first layers are split by row block first
+        (:meth:`ActivationDGM.split_first_layers`). ``ContainerError`` names
+        a missing meta entry or tensor."""
         tensors, meta = load_tensors(path)
 
         def part(key, kind):
@@ -340,6 +346,8 @@ class TrainedBundle:
         dgm_config = part("dgm_config", DGMConfig) if "dgm_config" in meta else None
         classifier = build_classifier(spec, None)
         dgm = None if dgm_config is None else ActivationDGM(classifier.layout.total, dgm_config, None)
+        if dgm is not None:
+            tensors = dgm.split_first_layers(tensors)
         for model in (m for m in (classifier, dgm) if m is not None):
             for name, arr in model.state_arrays().items():
                 if name not in tensors:

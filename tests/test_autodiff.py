@@ -163,19 +163,12 @@ class TestPrimitiveGradients:
             return [a, b], lambda: ad.where(m, a, b).sum()
         self._run(case)
 
-    def test_block_mask_matmul(self):
-        offsets = (0, 2, 5)                     # blocks of 2, 3 and 1 columns
+    def test_block_row_sums(self):
+        offsets = (0, 2, 5)                     # blocks of 2, 3 and 1 rows
         def case(rng):
-            x, w, z = _param(rng, 5, 6), _param(rng, 14, 3), _param(rng, 5, 2)
-            block = np.array([0, -1, 2, 1, 0])
-            return [x, w, z], lambda: ad.square(ad.block_mask_matmul(x, w, block, offsets, z)).sum()
-        self._run(case)
-
-    def test_block_mask_matmul_without_z(self):
-        def case(rng):
-            x, w = _param(rng, 4, 5), _param(rng, 10, 3)
-            block = rng.integers(-1, 2, size=4)
-            return [x, w], lambda: ad.square(ad.block_mask_matmul(x, w, block, (0, 3))).sum()
+            w = _param(rng, 6, 3)
+            g = rng.standard_normal((3, 3))
+            return [w], lambda: ad.square(ad.block_row_sums(w, offsets) * Tensor(g)).sum()
         self._run(case)
 
     def test_grouped_linear(self):
@@ -236,31 +229,26 @@ class TestTrivialExamples:
 class TestBlockOps:
     """The block-mask primitives against the dense products they stand for."""
 
-    def test_block_mask_matmul_is_the_concatenated_product(self):
+    def test_block_row_sums_times_membership_is_the_mask_product(self):
         rng = np.random.default_rng(11)
-        offsets = (0, 4, 5)                     # blocks of 4, 1 and 3 columns
-        x, z = rng.standard_normal((6, 8)), rng.standard_normal((6, 2))
-        w = rng.standard_normal((18, 5))
+        offsets = (0, 4, 5)                     # blocks of 4, 1 and 3 rows
+        w = rng.standard_normal((8, 5))
         block = np.array([1, -1, 0, 2, 0, -1])
-        b = np.zeros_like(x)
+        b = np.zeros((6, 8))
         for i, layer in enumerate(block):
             if layer >= 0:
                 b[i, offsets[layer] : (offsets + (8,))[layer + 1]] = 1.0
-        dense = np.concatenate([x, b, z], axis=1) @ w
-        np.testing.assert_allclose(ad.block_mask_matmul(x, w, block, offsets, z).data, dense,
+        member = (block[:, None] == np.arange(3)).astype(float)
+        np.testing.assert_allclose(member @ ad.block_row_sums(w, offsets).data, b @ w,
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(ad.block_mask_matmul(x, w[:16], block, offsets).data,
-                                   np.concatenate([x, b], axis=1) @ w[:16], rtol=1e-12, atol=1e-12)
 
-    def test_block_mask_matmul_gradient_is_block_constant(self):
+    def test_block_row_sums_backward_repeats_each_block_row(self):
         rng = np.random.default_rng(12)
-        x, w = rng.standard_normal((5, 6)), Tensor(rng.standard_normal((12, 3)), requires_grad=True)
-        block = np.array([0, 0, -1, 1, 0])
-        g = rng.standard_normal((5, 3))
-        (ad.block_mask_matmul(x, w, block, (0, 2)) * Tensor(g)).sum().backward()
-        np.testing.assert_allclose(w.grad[:6], x.T @ g, rtol=1e-12)
-        np.testing.assert_allclose(w.grad[6:8], np.tile(g[[0, 1, 4]].sum(axis=0), (2, 1)), rtol=1e-12)
-        np.testing.assert_allclose(w.grad[8:], np.tile(g[3], (4, 1)), rtol=1e-12)
+        w = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        g = rng.standard_normal((3, 3))
+        (ad.block_row_sums(w, (0, 2, 2)) * Tensor(g)).sum().backward()
+        # block 1 is empty: its gradient row reaches no row of w
+        np.testing.assert_array_equal(w.grad, np.vstack([np.tile(g[0], (2, 1)), np.tile(g[2], (5, 1))]))
 
     def test_grouped_linear_is_the_dense_product_at_the_groups(self):
         rng = np.random.default_rng(13)
@@ -275,11 +263,12 @@ class TestBlockOps:
         assert ad.grouped_linear(h, w, b, []).shape == (0,)
 
     def test_shape_errors_name_the_op(self):
-        x, w = np.ones((2, 3)), np.ones((7, 4))
-        with pytest.raises(ShapeError, match="block_mask_matmul"):
-            ad.block_mask_matmul(x, w, np.zeros(2, dtype=int), (0,))
-        with pytest.raises(ShapeError, match="block_mask_matmul"):
-            ad.block_mask_matmul(x, w[:6], np.zeros(3, dtype=int), (0,))
+        w = np.ones((7, 4))
+        for offsets in ((), (1, 3), (0, 5, 3), (0, 8)):
+            with pytest.raises(ShapeError, match="block_row_sums"):
+                ad.block_row_sums(w, offsets)
+        with pytest.raises(ShapeError, match="block_row_sums"):
+            ad.block_row_sums(np.ones(7), (0,))
         with pytest.raises(ShapeError, match="grouped_linear"):
             ad.grouped_linear(np.ones((2, 4)), np.ones((3, 5)), np.ones(5), [])
         with pytest.raises(ShapeError, match="grouped_linear"):

@@ -417,3 +417,9 @@ class TestReportBins:
         assert len(calls) == 1
         assert report.ece == ece(preds, labels)
         assert report.bins == bin_reliability(preds, labels)
+
+
+@pytest.mark.parametrize("name", ["n_bins", "entropy_bins", "mc_samples"])
+def test_eval_config_rejects_a_count_below_one(name):
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        EvalConfig(**{name: 0})

@@ -86,12 +86,22 @@ class TestTrainCommand:
     def test_usage_error_without_subcommand(self):
         assert main([]) == 1
 
-    @pytest.mark.parametrize("setting,bad", [("mask.mode=bogus", "'bogus'"),
-                                             ("mask.mode=a_aug\nmask.rate=1.5", "1.5")])
+    @pytest.mark.parametrize("setting,bad", [
+        ("mask.mode=bogus", "'bogus'"),
+        ("mask.mode=a_aug\nmask.rate=1.5", "1.5"),
+        ("model.hidden=0", "hidden must be positive"),
+        ("dgm.hidden=0", "hidden must be positive"),
+        ("dgm.latent_dim=0", "latent_dim must be positive"),
+        ("train.lr=0", "lr_classifier must be positive"),
+        ("train.dgm_lr=-1", "lr_dgm must be positive"),
+        ("train.clip_norm=0", "clip_norm must be positive"),
+        ("train.dropout_rate=1.0", "dropout_rate must lie in [0, 1)"),
+        ("train.noise_variance=-0.1", "noise_variance must not be negative"),
+    ])
     def test_bad_mask_setting_fails_before_writing(self, tmp_path, capsys, setting, bad):
+        # a later line overrides an earlier one: each setting replaces the config's own
         cfg = tmp_path / "bad_mask.cfg"
-        text = BLOB_CONFIG.format(method="pilot", epochs=1)
-        cfg.write_text(text.replace("mask.mode=a_aug", setting))
+        cfg.write_text(BLOB_CONFIG.format(method="pilot", epochs=1) + setting + "\n")
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         assert bad in capsys.readouterr().err

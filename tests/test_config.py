@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -218,3 +219,23 @@ class TestFieldColumn:
         cfg = parse_config("seed=7\n")
         assert eval_config(cfg).seed == 7
         assert _built("synth_blobs", cfg, monkeypatch).seed == 7
+
+
+class TestShippedConfigs:
+    CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+    def test_there_are_configs(self):
+        assert len(self.CONFIGS) == 4
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_parses_and_builds(self, path):
+        cfg = load_config(path)
+        if cfg["dataset.kind"] == "cifar10_binary":
+            shape, classes = (3, 32, 32), 10
+        else:
+            shape, classes = (cfg["dataset.dim"],), cfg["dataset.classes"]
+        spec = classifier_spec(cfg, shape, classes)
+        tcfg = train_config(cfg)
+        assert (spec.input_shape, spec.num_classes, tcfg.method) == (shape, classes, cfg["train.method"])
+        assert dgm_config(cfg).latent_dim == cfg["dgm.latent_dim"]
+        assert eval_config(cfg).mode == cfg["eval.mode"]

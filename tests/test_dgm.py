@@ -563,3 +563,38 @@ class TestBlockElbo:
         assert base.logvar.data.tobytes() == again.logvar.data.tobytes()
         assert not np.array_equal(model.encode(a_std, mask).mean.data,
                                   model.encode(scaled, mask).mean.data)
+
+
+class TestFirstLayer:
+    """Each stack's first layer, registered as the row blocks Wa, Wb (and Wz
+    for the decoder), against the product of the concatenated input with the
+    stacked weight it stands for."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mode", ["x_drop", "x_aug", "a_drop", "a_aug"])
+    def test_is_the_concatenated_product(self, kind, mode):
+        layout, model, records = block_world(kind)
+        mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(70))
+        a_std = model.standardizer.transform(records)
+        z = np.random.default_rng(71).standard_normal((len(records), model.config.latent_dim))
+        for stack, latent in ((model.encoder, None), (model.prior_net, None), (model.decoder, z)):
+            parts = [stack.wa, stack.wb] + ([] if latent is None else [stack.wz])
+            inputs = [a_std, mask.values] + ([] if latent is None else [latent])
+            expected = np.concatenate(inputs, axis=1) @ np.vstack([w.data for w in parts])
+            got = stack.first(a_std, mask, None if latent is None else Tensor(latent)).data
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    def test_initial_blocks_are_the_rows_of_one_draw(self):
+        record_dim, cfg = 7, DGMConfig(latent_dim=2, hidden=(5, 4))
+        model = ActivationDGM(record_dim, cfg, np.random.default_rng(72))
+        rng = np.random.default_rng(72)     # the same stream, drawn layer by layer
+        for stack, dims in ((model.encoder, [14, 5, 4, 4]), (model.prior_net, [14, 5, 4, 4]),
+                            (model.decoder, [16, 5, 4, 7])):
+            draws = [rng.normal(0.0, np.sqrt(2.0 / n) if i < 2 else 0.1 * np.sqrt(1.0 / n), (n, m))
+                     for i, (n, m) in enumerate(zip(dims, dims[1:]))]
+            parts = [stack.wa, stack.wb] + ([stack.wz] if stack.wz is not None else [])
+            assert np.vstack([w.data for w in parts]).tobytes() == draws[0].tobytes()
+            assert all(np.shares_memory(w.data, parts[0].data.base) for w in parts)
+            for w, draw in zip(stack.weights, draws[1:]):
+                assert w.data.tobytes() == draw.tobytes()
+        assert (model.encoder.wz, model.prior_net.wz) == (None, None)

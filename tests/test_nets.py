@@ -435,7 +435,9 @@ class TestRegistry:
         from pilot.dgm import ActivationDGM, DGMConfig
 
         model = ActivationDGM(7, DGMConfig(latent_dim=2, hidden=(4,)), np.random.default_rng(0))
-        stacks = [f"{net}.{i}.{k}" for net in ("enc", "pri", "dec") for i in range(2) for k in ("W", "b")]
+        first = {"enc": ["Wa", "Wb"], "pri": ["Wa", "Wb"], "dec": ["Wa", "Wb", "Wz"]}
+        stacks = [f"{net}.{k}" for net in ("enc", "pri", "dec")
+                  for k in [f"0.{w}" for w in first[net]] + ["0.b", "1.W", "1.b"]]
         assert list(model.state_arrays()) == stacks + ["std.mean", "std.m2", "std.state"]
         assert [id(p.data) for p in model.parameters()] == [id(model.state_arrays()[k]) for k in stacks]
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pilot import autodiff as ad
+from pilot import checkpoint
 from pilot.autodiff import Tensor
+from pilot.calibrate import mc_predict
 from pilot.data import Dataset, synth_blobs
 from pilot.dgm import ActivationDGM, DGMConfig
 from pilot.masks import empty_mask, sample_mask
@@ -535,3 +537,32 @@ class TestBundleLoad:
         assert state.keys() == loaded_state.keys()
         for name, arr in state.items():
             np.testing.assert_array_equal(loaded_state[name], arr)
+
+    def test_version_1_bundle_loads_with_the_same_predictions(self, tmp_path, monkeypatch):
+        # a version-1 container stored each DGM stack's first layer whole, as
+        # <stack>.0.W: the rows of today's Wa, Wb and (decoder) Wz, stacked
+        ds, spec = blob_setup(seed=35, per_class=30)
+        cfg = TrainConfig(method="pilot", mask_mode="a_aug", epochs=1, batch_size=32, seed=3)
+        bundle, _ = train(spec, cfg, ds, DGMConfig(latent_dim=4, hidden=(8,)))
+        path, old_path = tmp_path / "model.ckpt", tmp_path / "old.ckpt"
+        bundle.save(path)
+        tensors, meta = checkpoint.load_tensors(path)
+        old = {}
+        for name, arr in tensors.items():
+            stack, _, part = name.partition(".0.W")
+            if part in ("a", "b", "z"):
+                old.setdefault(f"{stack}.0.W", []).append(arr)
+            else:
+                old[name] = arr
+        old = {name: np.vstack(arr) if isinstance(arr, list) else arr for name, arr in old.items()}
+        monkeypatch.setattr(checkpoint, "VERSION", 1)
+        checkpoint.save_tensors(old_path, old, meta)
+        monkeypatch.undo()
+        assert "dec.0.W" in checkpoint.load_tensors(old_path)[0]
+        x = ds.x_test[:40]
+        outputs = []
+        for loaded in (TrainedBundle.load(path), TrainedBundle.load(old_path)):
+            outputs.append((loaded.predict(x),
+                            mc_predict(loaded, x, 3, "pilot_mc", np.random.default_rng(4))))
+        for new, from_old in zip(*outputs):
+            assert new.tobytes() == from_old.tobytes()
