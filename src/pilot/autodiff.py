@@ -335,6 +335,29 @@ def block_row_sums(w, offsets) -> Tensor:
     return _make(data, "block_row_sums", (w,), backward)
 
 
+def block_table(s, d, sizes) -> Tensor:
+    """``s + sizes[:, None] * d``: the block row sums of a weight whose block l
+    holds ``sizes[l]`` rows that move together, ``s`` their sums at the start
+    and ``d`` the amount each of them has moved since.
+
+    Backward hands ``d`` the table's gradient unscaled, which is the gradient
+    each of block l's rows gets in that weight (see :func:`block_row_sums`).
+    So an elementwise optimiser moves a row of ``d`` exactly as it would move
+    each row of the block. It is not ``d``'s own gradient, which is
+    ``sizes[:, None]`` times larger. ``s`` gets no gradient.
+    """
+    s, d = as_tensor(s), as_tensor(d)
+    n = np.asarray(sizes, dtype=DEFAULT_DTYPE)
+    if s.ndim != 2 or s.shape != d.shape or n.shape != s.shape[:1]:
+        raise ShapeError("block_table", s.shape, d.shape, n.shape)
+    data = s.data + n[:, None] * d.data
+
+    def backward(g):
+        _accumulate(d, g)
+
+    return _make(data, "block_table", (d,), backward)
+
+
 def grouped_linear(h, w, b, groups) -> Tensor:
     """``h @ w + b`` at the positions ``groups`` name, and nowhere else.
 
@@ -671,6 +694,7 @@ PRIMITIVES = {
     "div": div,
     "matmul": matmul,
     "block_row_sums": block_row_sums,
+    "block_table": block_table,
     "grouped_linear": grouped_linear,
     "conv2d": conv2d,
     "max_pool2d": max_pool2d,

@@ -19,8 +19,10 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"PTC1"
-VERSION = 2         # 2: the DGM's first-layer weights are stored by row block
-READABLE = (1, 2)
+# 2: the DGM's first-layer weights are stored by row block. 3: a DGM trained
+# on block masks stores its mask weights as a per-layer table.
+VERSION = 3
+READABLE = (1, 2, 3)
 _ALIGN = 64
 
 

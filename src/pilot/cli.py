@@ -154,6 +154,7 @@ def cmd_train(args) -> int:
     spec = cfgmod.classifier_spec(cfg, dataset.input_shape, dataset.num_classes)
     tcfg = cfgmod.train_config(cfg)
     dcfg = cfgmod.dgm_config(cfg) if tcfg.method == "pilot" else None
+    cfgmod.eval_config(cfg)     # an eval setting it rejects fails here, not after training
 
     out = Path(cfg["out.dir"])
     ckpt_dir = out / "checkpoints"

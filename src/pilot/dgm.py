@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
-from .masks import Mask
+from .masks import BLOCK_MODES, Mask
 from .nets import Registry, normal_init, require_positive
 
 
@@ -50,6 +50,8 @@ class DGMConfig:
 
     def __post_init__(self):
         require_positive(self, "latent_dim", "hidden", "decoder_variance", "n_z")
+        if not 0.0 <= self.standardize_warmup <= 1.0:
+            raise ValueError(f"standardize_warmup must lie in [0, 1], got {self.standardize_warmup}")
 
 
 class DiagonalGaussian:
@@ -176,36 +178,68 @@ class RunningStandardizer:
 class _DenseStack:
     """Plain relu MLP on ``[x, b]`` (``[x, b, z]`` with a latent input); final
     layer linear with damped init for stable heads. The first layer's weight
-    is drawn whole and registered by row block: ``<prefix>.0.Wa`` for ``x``,
-    ``.0.Wb`` for ``b``, ``.0.Wz`` for ``z``. Later ones are ``weights``,
-    ``<prefix>.<i>.W``; each layer's bias is ``<prefix>.<i>.b``."""
+    is drawn as one stream, row block by row block, and registered by block:
+    ``<prefix>.0.Wa`` for ``x``, ``.0.Wb`` for ``b``, ``.0.Wz`` for ``z``.
+    Later ones are ``weights``, ``<prefix>.<i>.W``; each layer's bias is
+    ``<prefix>.<i>.b``.
 
-    def __init__(self, record_dim: int, latent_in: int, widths, rng, prefix: str, registry: Registry):
+    Given the record ``layout``, the stack takes block masks alone and keeps
+    ``Wb`` as a table, one row per layer (:func:`autodiff.block_table`): the
+    buffer ``.0.S`` holds the sums of the initial ``Wb``'s rows over each
+    layer, and the parameter ``.0.D`` the amount each of those rows has moved
+    since. Under a block mask every row of a layer's block gets the same
+    gradient, so Adam moves them all alike and the table follows the dense
+    weight's trajectory exactly, up to reassociation."""
+
+    def __init__(self, record_dim: int, latent_in: int, widths, rng, prefix: str, registry: Registry,
+                 layout=None):
         dims = [2 * record_dim + latent_in, *widths]
         self.weights = []
         self.biases = []
+        self.wb = self.d = None
         for i in range(len(dims) - 1):
-            fan_in = dims[i]
+            fan_in, width = dims[i], dims[i + 1]
             scale = np.sqrt(2.0 / fan_in) if i < len(dims) - 2 else 0.1 * np.sqrt(1.0 / fan_in)
-            w = normal_init(rng, scale, (dims[i], dims[i + 1]))
             if i == 0:
-                wa, wb, wz = np.split(w, [record_dim, 2 * record_dim])
-                self.wa = registry.param(f"{prefix}.0.Wa", wa)
-                self.wb = registry.param(f"{prefix}.0.Wb", wb)
-                self.wz = registry.param(f"{prefix}.0.Wz", wz) if latent_in else None
+                self.wa = registry.param(f"{prefix}.0.Wa", normal_init(rng, scale, (record_dim, width)))
+                if layout is None:
+                    self.wb = registry.param(f"{prefix}.0.Wb", normal_init(rng, scale, (record_dim, width)))
+                else:
+                    sums = np.empty((layout.n_layers, width))
+                    if rng is not None:
+                        for out, n in zip(sums, layout.sizes):
+                            normal_init(rng, scale, (n, width)).sum(axis=0, out=out)
+                    self.sizes = np.array(layout.sizes, dtype=float)
+                    self.s = registry.add(f"{prefix}.0.S", Tensor(sums))
+                    self.d = registry.param(f"{prefix}.0.D", np.zeros_like(sums), rows=self.sizes)
+                self.wz = (registry.param(f"{prefix}.0.Wz", normal_init(rng, scale, (latent_in, width)))
+                           if latent_in else None)
             else:
-                self.weights.append(registry.param(f"{prefix}.{i}.W", w))
-            self.biases.append(registry.param(f"{prefix}.{i}.b", np.zeros(dims[i + 1])))
+                self.weights.append(registry.param(f"{prefix}.{i}.W", normal_init(rng, scale, (fan_in, width))))
+            self.biases.append(registry.param(f"{prefix}.{i}.b", np.zeros(width)))
+
+    def mask_rows(self, layout) -> Tensor:
+        """``Wb``'s rows summed over each layer of ``layout``, as a (layers,
+        width) tensor: :func:`autodiff.block_row_sums` of ``Wb``, or a table
+        stack's :func:`autodiff.block_table`."""
+        if self.d is None:
+            return ad.block_row_sums(self.wb, layout.offsets)
+        return ad.block_table(self.s, self.d, self.sizes)
 
     def first(self, x: np.ndarray, mask: Mask, z: Tensor | None = None) -> Tensor:
         """The first layer's product with ``[x, mask.values, z]``, bias not yet
         added. Under a block mask, ``mask.values @ Wb`` is the (rows, layers)
-        0/1 membership times :func:`autodiff.block_row_sums` of ``Wb``."""
-        if mask.block is None:
+        0/1 membership times :meth:`mask_rows`. A table stack refuses a mask
+        without a block index."""
+        if mask.block is not None:
+            member = mask.block[:, None] == np.arange(mask.layout.n_layers)
+            b_wb = ad.matmul(member, self.mask_rows(mask.layout))
+        elif self.d is None:
             b_wb = ad.matmul(mask.values, self.wb)
         else:
-            member = mask.block[:, None] == np.arange(mask.layout.n_layers)
-            b_wb = ad.matmul(member, ad.block_row_sums(self.wb, mask.layout.offsets))
+            raise ValueError(f"this DGM keeps its mask weights as one row per layer, for the block "
+                             f"mask modes {BLOCK_MODES} alone; a mask of mode {mask.mode!r} has no "
+                             f"block index")
         h = ad.matmul(x, self.wa) + b_wb
         return h if z is None else h + ad.matmul(z, self.wz)
 
@@ -266,7 +300,7 @@ class _BlockInput:
     The stack's input is ``[a_std * (1 - b), b, extra]``. For a row that
     masks layer l, the first layer is the sum over every other layer k of
     ``a_std[:, k] @ Wa[k]``, plus the rows of ``Wb`` summed over layer l
-    (:func:`autodiff.block_row_sums`), plus ``extra @ Wz`` and the bias. The
+    (:meth:`_DenseStack.mask_rows`), plus ``extra @ Wz`` and the bias. The
     products are computed once for ``a_std``'s rows. The masked layer's own
     product is left out of the sum, not subtracted from a total, so no
     masked value reaches the result, not even at roundoff.
@@ -275,7 +309,8 @@ class _BlockInput:
     def __init__(self, stack: _DenseStack, a_std: np.ndarray, layout):
         layers = [layout.layer_slice(k) for k in range(layout.n_layers)]
         self.products = [a_std[:, sl] @ stack.wa.data[sl] for sl in layers]
-        self.mask_sums = ad.block_row_sums(stack.wb.data, layout.offsets).data
+        with ad.no_grad():
+            self.mask_sums = stack.mask_rows(layout).data
         self.wz = None if stack.wz is None else stack.wz.data
         self.bias = stack.biases[0].data
 
@@ -306,16 +341,27 @@ class PreparedBatch:
 
 
 class ActivationDGM:
-    """Encoder / conditional prior / fixed-variance Gaussian decoder."""
+    """Encoder / conditional prior / fixed-variance Gaussian decoder.
 
-    def __init__(self, record_dim: int, config: DGMConfig, rng):
+    Given the record ``layout``, the DGM is built for block masks
+    (:data:`masks.BLOCK_MODES`) alone: each stack keeps its mask weights as
+    a per-layer table (:class:`_DenseStack`), and a mask without a block
+    index raises ``ValueError``. Its optimiser takes ``registry.row_counts()``
+    as ``Adam``'s ``rows``, so that the clip norm is the dense weight's.
+    """
+
+    def __init__(self, record_dim: int, config: DGMConfig, rng, layout=None):
+        if layout is not None and layout.total != record_dim:
+            raise ValueError(f"layout has {layout.total} positions, the record {record_dim}")
         self.record_dim = record_dim
         self.config = config
+        self.layout = layout
         dz, hidden = config.latent_dim, config.hidden
         self.registry = Registry()
-        self.encoder = _DenseStack(record_dim, 0, [*hidden, 2 * dz], rng, "enc", self.registry)
-        self.prior_net = _DenseStack(record_dim, 0, [*hidden, 2 * dz], rng, "pri", self.registry)
-        self.decoder = _DenseStack(record_dim, dz, [*hidden, record_dim], rng, "dec", self.registry)
+        reg = self.registry
+        self.encoder = _DenseStack(record_dim, 0, [*hidden, 2 * dz], rng, "enc", reg, layout)
+        self.prior_net = _DenseStack(record_dim, 0, [*hidden, 2 * dz], rng, "pri", reg, layout)
+        self.decoder = _DenseStack(record_dim, dz, [*hidden, record_dim], rng, "dec", reg, layout)
         self.standardizer = RunningStandardizer(record_dim, enabled=config.standardize)
 
     def parameters(self):
@@ -488,14 +534,22 @@ class ActivationDGM:
         self.registry.load_state(arrays)
         self.standardizer.load_state(arrays)
 
-    def split_first_layers(self, arrays: dict) -> dict:
-        """``arrays`` with each version-1 first-layer weight ``<stack>.0.W``
-        split, exactly, into its row blocks ``.0.Wa``, ``.0.Wb`` and
-        ``.0.Wz``; a wrong height leaves the last block the wrong shape."""
+    def upgrade(self, arrays: dict) -> dict:
+        """``arrays`` from an older container, with the first layers this DGM
+        registers. A version-1 ``<stack>.0.W`` is split, exactly, into its row
+        blocks ``.0.Wa``, ``.0.Wb`` and ``.0.Wz``; a wrong height leaves the
+        last block the wrong shape. A table DGM then takes a dense ``.0.Wb`` of
+        the record's height
+        as ``.0.S``, its row sums per layer, with ``.0.D`` zero: exact for a
+        DGM trained on block masks, whose first layer reads only those sums."""
         arrays = dict(arrays)
         r = self.record_dim
         for stack, cuts in (("enc", [r]), ("pri", [r]), ("dec", [r, 2 * r])):
             if (w := arrays.pop(f"{stack}.0.W", None)) is not None:
                 names = (f"{stack}.0.{part}" for part in ("Wa", "Wb", "Wz"))
                 arrays.update(zip(names, np.split(w, cuts)))
+            if self.layout is not None and np.shape(arrays.get(f"{stack}.0.Wb"))[:1] == (r,):
+                wb = arrays.pop(f"{stack}.0.Wb")
+                arrays[f"{stack}.0.S"] = ad.block_row_sums(wb, self.layout.offsets).data
+                arrays[f"{stack}.0.D"] = np.zeros_like(arrays[f"{stack}.0.S"])
         return arrays

@@ -106,6 +106,7 @@ class Registry:
 
     def __init__(self):
         self._tensors = {}
+        self._rows = {}
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._tensors:
@@ -113,12 +114,21 @@ class Registry:
         self._tensors[name] = tensor
         return tensor
 
-    def param(self, name: str, data) -> Tensor:
-        """Register a new trainable tensor holding ``data``."""
+    def param(self, name: str, data, rows=None) -> Tensor:
+        """Register a new trainable tensor holding ``data``. A table
+        (:func:`autodiff.block_table`) gives ``rows``: per row, the rows of
+        the weight it stands for."""
+        if rows is not None:
+            self._rows[name] = rows
         return self.add(name, Tensor(data, requires_grad=True))
 
     def parameters(self):
         return [t for t in self._tensors.values() if t.requires_grad]
+
+    def row_counts(self) -> list:
+        """Per parameter, the ``rows`` it was registered with, else ``None``:
+        the clip norm's row counts (:class:`optim.Adam`)."""
+        return [self._rows.get(name) for name, t in self._tensors.items() if t.requires_grad]
 
     def state_arrays(self) -> dict:
         return {name: t.data for name, t in self._tensors.items()}

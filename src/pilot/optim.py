@@ -7,18 +7,27 @@ import numpy as np
 from .autodiff import Tensor
 
 
-def global_norm(grads) -> float:
+def global_norm(grads, rows=None) -> float:
     """L2 norm of the concatenation of all gradient arrays.
 
     Each array's squares are summed by one dot product of its flat view
     with itself, so no squared copy is allocated (a non-contiguous array is
     flattened into one copy first).
+
+    ``rows``, if given, holds one entry per gradient: ``None``, or for a
+    table's gradient (:func:`autodiff.block_table`) the number of rows each
+    of its rows stands for. Row l then counts ``rows[l]`` times, as it would
+    in the weight the table stands for.
     """
     total = 0.0
-    for g in grads:
-        if g is not None:
+    for g, n in zip(grads, [None] * len(grads) if rows is None else rows):
+        if g is None:
+            continue
+        if n is None:
             flat = np.ravel(g)
             total += float(np.vdot(flat, flat))
+        else:
+            total += float(np.vdot(n, np.einsum("ij,ij->i", g, g)))
     return float(np.sqrt(total))
 
 
@@ -49,6 +58,9 @@ class Adam:
     parameter arrays must be writeable and not shared with anything that
     should keep the old values (``state_arrays`` returns these same arrays).
     Gradient arrays are only read, never written.
+
+    ``rows`` gives the clip norm's row counts, one entry per parameter
+    (:func:`global_norm`); ``None`` counts every parameter's rows once.
     """
 
     # Elements updated per pass over a large parameter: each pass runs the
@@ -59,10 +71,13 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params, lr: float):
+    def __init__(self, params, lr: float, rows=None):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params: list[Tensor] = list(params)
+        if rows is not None and len(rows) != len(self.params):
+            raise ValueError(f"{len(rows)} row counts for {len(self.params)} parameters")
+        self.rows = rows
         self.lr = float(lr)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -91,7 +106,7 @@ class Adam:
         if max_norm is not None:
             if max_norm <= 0:
                 raise ValueError(f"max_norm must be positive, got {max_norm}")
-            norm = global_norm(grads)
+            norm = global_norm(grads, self.rows)
             if not norm <= max_norm:        # a NaN norm scales too, as in clip_gradients
                 scale = max_norm / norm
         self.t += 1

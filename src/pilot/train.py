@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
 from .checkpoint import ContainerError, load_tensors, save_tensors
 from .dgm import ActivationDGM, DGMConfig, HyperpriorConfig
-from .masks import _check_mode, sample_mask
+from .masks import BLOCK_MODES, _check_mode, sample_mask
 from .nets import ClassifierSpec, build_classifier, require_positive
 # global_norm and clip_gradients are not called here any more (Adam.step
 # clips), but stay importable from this module: perfbench's tracer wraps them
@@ -63,6 +63,10 @@ class TrainConfig:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if not self.noise_variance >= 0.0:
             raise ValueError(f"noise_variance must not be negative, got {self.noise_variance}")
+        if not 0.0 <= self.data_aug_prob <= 1.0:
+            raise ValueError(f"data_aug_prob must lie in [0, 1], got {self.data_aug_prob}")
+        if not self.l2_lambda >= 0.0:
+            raise ValueError(f"l2_lambda must not be negative, got {self.l2_lambda}")
 
 
 # -- losses -------------------------------------------------------------------
@@ -194,43 +198,56 @@ def noise_step(classifier, opt, x, y, cfg: TrainConfig, rng_mask, rng_noise) -> 
     return _classifier_update(opt, logits, loss, y, cfg)
 
 
-def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
-               x, y, cfg: TrainConfig, rng_mask, rng_z) -> dict:
-    """One joint step: splice-and-classify for the classifier, ELBO for the DGM.
-
-    The recorded activations enter the DGM as constants and the imputations
-    enter the classifier behind the stop-gradient barrier, so each backward
-    pass touches exactly one parameter group.
-    """
-    logits, record = classifier.forward_record(x)
-    a_flat = record.flatten()
-    dgm.standardizer.update(a_flat)
-
-    mask = sample_mask(cfg.mask_mode, cfg.mask_rate, classifier.layout, len(x), rng_mask)
-    # One prior pass for the step's mask feeds both its imputation and the ELBO.
-    shared = dgm.condition(a_flat, mask)
+def _spliced_loss(classifier, dgm: ActivationDGM, record, a_flat, mask, shared, y,
+                  cfg: TrainConfig, rng_mask, rng_z) -> Tensor:
+    """The classifier's loss on ``cfg.n_impute`` spliced passes, the first
+    under ``mask`` with the prior ``shared``, each later one under a fresh
+    mask."""
     loss_act = None
     for k in range(cfg.n_impute):
-        mk = mask if k == 0 else sample_mask(cfg.mask_mode, cfg.mask_rate, classifier.layout, len(x), rng_mask)
+        mk = mask if k == 0 else sample_mask(cfg.mask_mode, cfg.mask_rate, classifier.layout, len(y), rng_mask)
         imputed = dgm.impute(a_flat, mk, rng_z, prior=shared if k == 0 else None)
         spliced_logits, _ = classifier.forward_spliced(record, mk, imputed)
         term = cross_entropy(spliced_logits, y)
         loss_act = term if loss_act is None else loss_act + term
     if cfg.n_impute > 1:
         loss_act = loss_act * (1.0 / cfg.n_impute)
+    return loss_act
+
+
+def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
+               x, y, cfg: TrainConfig, rng_mask, rng_z) -> dict:
+    """One joint step: splice-and-classify for the classifier, ELBO for the DGM.
+
+    The recorded activations enter the DGM as constants and the imputations
+    enter the classifier behind the stop-gradient barrier, so each backward
+    pass touches exactly one parameter group. The classifier's graph, and
+    the gradients its backward leaves on it, are let go before the DGM's
+    forward pass: only the record's values and the prior reach the ELBO.
+    """
+    logits, record = classifier.forward_record(x)
+    acc = float((logits.data.argmax(axis=1) == y).mean())
+    a_flat = record.flatten()
+    dgm.standardizer.update(a_flat)
+
+    mask = sample_mask(cfg.mask_mode, cfg.mask_rate, classifier.layout, len(x), rng_mask)
+    # One prior pass for the step's mask feeds both its imputation and the ELBO.
+    shared = dgm.condition(a_flat, mask)
+    loss_act = _spliced_loss(classifier, dgm, record, a_flat, mask, shared, y, cfg, rng_mask, rng_z)
+    del logits, record
     _finite_or_raise(float(loss_act.data), "classifier loss", {"method": "pilot"})
 
     norm_psi = _descend(loss_act, opt_psi, cfg, opt_dgm,
                         "classifier loss leaked gradient into DGM parameters")
+    loss_act = float(loss_act.data)
 
     lam, diag = dgm.lambda_elbo(a_flat, mask, rng=rng_z, prior=shared)
     loss_dgm = -lam
     norm_dgm = _descend(loss_dgm, opt_dgm, cfg, opt_psi,
                         "DGM loss leaked gradient into classifier parameters")
 
-    acc = float((logits.data.argmax(axis=1) == y).mean())
     return {
-        "loss_act": float(loss_act.data),
+        "loss_act": loss_act,
         "loss_dgm": float(loss_dgm.data),
         "kl": diag["kl"],
         "recon": diag["recon"],
@@ -327,10 +344,10 @@ class TrainedBundle:
     @classmethod
     def load(cls, path) -> "TrainedBundle":
         """Read a bundle ``save`` wrote. The models are built without an
-        initialisation (no random draw) and every tensor is then loaded; a
-        version-1 bundle's DGM first layers are split by row block first
-        (:meth:`ActivationDGM.split_first_layers`). ``ContainerError`` names
-        a missing meta entry or tensor."""
+        initialisation (no random draw) and every tensor is then loaded; an
+        older bundle's DGM first layers are converted first
+        (:meth:`ActivationDGM.upgrade`). ``ContainerError`` names a missing
+        meta entry or tensor."""
         tensors, meta = load_tensors(path)
 
         def part(key, kind):
@@ -345,9 +362,11 @@ class TrainedBundle:
         train_config = part("train_config", TrainConfig)
         dgm_config = part("dgm_config", DGMConfig) if "dgm_config" in meta else None
         classifier = build_classifier(spec, None)
-        dgm = None if dgm_config is None else ActivationDGM(classifier.layout.total, dgm_config, None)
-        if dgm is not None:
-            tensors = dgm.split_first_layers(tensors)
+        dgm = None
+        if dgm_config is not None:
+            dgm = ActivationDGM(classifier.layout.total, dgm_config, None,
+                                _dgm_layout(classifier, train_config))
+            tensors = dgm.upgrade(tensors)
         for model in (m for m in (classifier, dgm) if m is not None):
             for name, arr in model.state_arrays().items():
                 if name not in tensors:
@@ -360,6 +379,13 @@ class TrainedBundle:
 
 
 # -- training loop ----------------------------------------------------------------------
+
+
+def _dgm_layout(classifier, cfg: TrainConfig):
+    """The record layout a DGM keeps its mask weights by: the classifier's
+    under a block mask mode, else ``None`` (a dense mask weight)."""
+    return classifier.layout if cfg.mask_mode in BLOCK_MODES else None
+
 
 
 def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
@@ -384,8 +410,9 @@ def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
     dgm = opt_dgm = None
     if cfg.method == "pilot":
         dgm_config = dgm_config or DGMConfig()
-        dgm = ActivationDGM(classifier.layout.total, dgm_config, rng_dgm_init)
-        opt_dgm = Adam(dgm.parameters(), cfg.lr_dgm)
+        dgm = ActivationDGM(classifier.layout.total, dgm_config, rng_dgm_init,
+                            _dgm_layout(classifier, cfg))
+        opt_dgm = Adam(dgm.parameters(), cfg.lr_dgm, dgm.registry.row_counts())
 
     n = len(dataset.x_train)
     steps_per_epoch = math.ceil(n / cfg.batch_size)

@@ -250,6 +250,23 @@ class TestBlockOps:
         # block 1 is empty: its gradient row reaches no row of w
         np.testing.assert_array_equal(w.grad, np.vstack([np.tile(g[0], (2, 1)), np.tile(g[2], (5, 1))]))
 
+    def test_block_table_is_the_row_sums_of_the_moved_weight(self):
+        # a weight whose block rows all moved by d has row sums s + n d, and
+        # d's gradient is the one every row of its block gets in that weight
+        rng = np.random.default_rng(14)
+        offsets, sizes = (0, 4, 5), np.array([4, 1, 3])
+        w0, d = rng.standard_normal((8, 5)), rng.standard_normal((3, 5))
+        w = Tensor(w0 + np.repeat(d, sizes, axis=0), requires_grad=True)
+        s = ad.block_row_sums(w0, offsets).data
+        dt = Tensor(d, requires_grad=True)
+        table = ad.block_table(s, dt, sizes)
+        dense = ad.block_row_sums(w, offsets)
+        np.testing.assert_allclose(table.data, dense.data, rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal((3, 5))
+        (table * Tensor(g)).sum().backward()
+        (dense * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(np.repeat(dt.grad, sizes, axis=0), w.grad)
+
     def test_grouped_linear_is_the_dense_product_at_the_groups(self):
         rng = np.random.default_rng(13)
         h, w, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 6)), rng.standard_normal(6)
@@ -269,6 +286,10 @@ class TestBlockOps:
                 ad.block_row_sums(w, offsets)
         with pytest.raises(ShapeError, match="block_row_sums"):
             ad.block_row_sums(np.ones(7), (0,))
+        for s, d, sizes in ((np.ones((2, 4)), np.ones((2, 3)), (1, 1)),
+                            (np.ones((2, 4)), np.ones((2, 4)), (1, 1, 1)), (np.ones(2), np.ones(2), (1, 1))):
+            with pytest.raises(ShapeError, match="block_table"):
+                ad.block_table(s, d, sizes)
         with pytest.raises(ShapeError, match="grouped_linear"):
             ad.grouped_linear(np.ones((2, 4)), np.ones((3, 5)), np.ones(5), [])
         with pytest.raises(ShapeError, match="grouped_linear"):

@@ -97,6 +97,9 @@ class TestTrainCommand:
         ("train.clip_norm=0", "clip_norm must be positive"),
         ("train.dropout_rate=1.0", "dropout_rate must lie in [0, 1)"),
         ("train.noise_variance=-0.1", "noise_variance must not be negative"),
+        ("dgm.standardize_warmup=-1", "standardize_warmup must lie in [0, 1]"),
+        ("train.aug_prob=2", "data_aug_prob must lie in [0, 1]"),
+        ("train.l2_lambda=-5", "l2_lambda must not be negative"),
     ])
     def test_bad_mask_setting_fails_before_writing(self, tmp_path, capsys, setting, bad):
         # a later line overrides an earlier one: each setting replaces the config's own
@@ -105,6 +108,14 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         assert bad in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_eval_setting_fails_before_training(self, tmp_path, capsys):
+        # the eval settings are checked when the run's config is, not first by `pilot eval`
+        cfg = write_config(tmp_path, epochs=1, extra="eval.mc_samples=0\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "mc_samples must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -19,7 +19,7 @@ from pilot.dgm import (
 )
 from pilot.masks import Mask, empty_mask, sample_mask
 from pilot.nets import RecordLayout
-from pilot.optim import Adam, clip_gradients
+from pilot.optim import Adam, clip_gradients, global_norm
 
 from helpers import check_gradients
 
@@ -594,7 +594,123 @@ class TestFirstLayer:
                      for i, (n, m) in enumerate(zip(dims, dims[1:]))]
             parts = [stack.wa, stack.wb] + ([stack.wz] if stack.wz is not None else [])
             assert np.vstack([w.data for w in parts]).tobytes() == draws[0].tobytes()
-            assert all(np.shares_memory(w.data, parts[0].data.base) for w in parts)
+            assert all(w.data.base is None for w in parts)     # no view keeps the whole draw alive
             for w, draw in zip(stack.weights, draws[1:]):
                 assert w.data.tobytes() == draw.tobytes()
         assert (model.encoder.wz, model.prior_net.wz) == (None, None)
+
+
+def table_pair(kind, seed=80, hidden=(16, 12)):
+    """A dense DGM and a table DGM (built with the layout) from one seed,
+    with one standardiser state, plus a batch of records."""
+    layout = BLOCK_LAYOUTS[kind]
+    cfg = DGMConfig(latent_dim=3, hidden=hidden)
+    dense = ActivationDGM(layout.total, cfg, np.random.default_rng(seed))
+    table = ActivationDGM(layout.total, cfg, np.random.default_rng(seed), layout)
+    rng = np.random.default_rng(seed + 1)
+    scale = rng.uniform(0.5, 3.0, size=layout.total)
+    for model in (dense, table):
+        model.standardizer.update(np.random.default_rng(seed + 2).standard_normal((64, layout.total))
+                                  * scale + 1.0)
+    return layout, dense, table, rng.standard_normal((24, layout.total)) * scale + 1.0
+
+
+def relative_error(got, expected):
+    return np.abs(got - expected).max() / max(np.abs(expected).max(), 1e-300)
+
+
+STACKS = ("encoder", "prior_net", "decoder")
+
+
+class TestMaskTable:
+    """A DGM built with the record layout keeps each stack's Wb as the table
+    T = S + n D; it must follow the dense DGM's trajectory under block masks."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
+    def test_20_clipped_adam_steps_follow_the_dense_weight(self, kind, mode):
+        layout, dense, table, records = table_pair(kind)
+        opt_dense = Adam(dense.parameters(), lr=1e-3)
+        opt_table = Adam(table.parameters(), lr=1e-3, rows=table.registry.row_counts())
+        max_norm = 0.5
+        rng = np.random.default_rng(81)
+        for step in range(20):
+            mask = sample_mask(mode, 0.6, layout, len(records), rng)
+            eps = rng.standard_normal((len(records), dense.config.latent_dim))
+            norms = []
+            for model, opt in ((dense, opt_dense), (table, opt_table)):
+                opt.zero_grad()
+                model.lambda_elbo(records, mask, eps=eps)[0].backward()
+                norms.append(opt.step(max_norm=max_norm))
+            assert norms[0] > max_norm                      # the clip binds
+            assert abs(norms[1] - norms[0]) <= 1e-12 * norms[0], step
+            for name in STACKS:
+                d_stack, t_stack = getattr(dense, name), getattr(table, name)
+                t = ad.block_table(t_stack.s, t_stack.d, t_stack.sizes).data
+                assert relative_error(t, ad.block_row_sums(d_stack.wb, layout.offsets).data) <= 1e-12
+            t_state, d_state = table.registry.state_arrays(), dense.registry.state_arrays()
+            others = [k for k in d_state if not k.endswith(".0.Wb")]
+            assert others == [k for k in t_state if not k.endswith((".0.S", ".0.D"))]
+            for k in others:
+                assert relative_error(t_state[k], d_state[k]) <= 1e-12, (step, k)
+        assert np.abs(table.decoder.d.data).max() > 0      # the table moved
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_weighted_global_norm_is_the_dense_norm(self, kind):
+        layout, dense, table, records = table_pair(kind)
+        mask = sample_mask("a_aug", 0.7, layout, len(records), np.random.default_rng(82))
+        eps = np.random.default_rng(83).standard_normal((len(records), 3))
+        norms = []
+        for model in (dense, table):
+            model.lambda_elbo(records, mask, eps=eps)[0].backward()
+            rows = model.registry.row_counts()
+            norms.append(global_norm([p.grad for p in model.parameters()], rows))
+        assert abs(norms[1] - norms[0]) <= 1e-13 * norms[0]
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_initial_tensors_are_the_dense_draws(self, kind):
+        layout, dense, table, _ = table_pair(kind, hidden=(5, 4))
+        for name in STACKS:
+            d_stack, t_stack = getattr(dense, name), getattr(table, name)
+            pairs = [(t_stack.wa, d_stack.wa), *zip(t_stack.weights, d_stack.weights),
+                     *zip(t_stack.biases, d_stack.biases)]
+            if name == "decoder":
+                pairs.append((t_stack.wz, d_stack.wz))
+            for t, d in pairs:
+                assert t.data.tobytes() == d.data.tobytes()
+            assert t_stack.s.data.tobytes() == ad.block_row_sums(d_stack.wb, layout.offsets).data.tobytes()
+            assert not t_stack.d.data.any() and t_stack.wb is None
+        # each stack's (record, width) Wb became a (layers, width) D
+        saved = sum((layout.total - layout.n_layers) * getattr(dense, n).wa.shape[1] for n in STACKS)
+        assert sum(p.size for p in dense.parameters()) - sum(p.size for p in table.parameters()) == saved
+
+    def test_upgrade_sums_a_dense_mask_weight(self):
+        # an older container's dense Wb becomes S = its row sums per layer, D = 0
+        layout, dense, table, records = table_pair("cnn")
+        rng = np.random.default_rng(85)
+        for name in STACKS:
+            getattr(dense, name).wb.data += rng.standard_normal(getattr(dense, name).wb.shape)
+        table.load_state(table.upgrade(dense.state_arrays()))
+        for name in STACKS:
+            d_stack, t_stack = getattr(dense, name), getattr(table, name)
+            assert t_stack.s.data.tobytes() == ad.block_row_sums(d_stack.wb, layout.offsets).data.tobytes()
+            assert not t_stack.d.data.any()
+        mask = sample_mask("a_aug", 0.6, layout, len(records), np.random.default_rng(86))
+        eps = np.random.default_rng(87).standard_normal((len(records), 3))
+        np.testing.assert_allclose(table.lambda_elbo(records, mask, eps=eps)[0].data,
+                                   dense.lambda_elbo(records, mask, eps=eps)[0].data, rtol=1e-12)
+        got, expected = (m.impute(records, mask, np.random.default_rng(88)) for m in (table, dense))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("mode", ["a_drop", "x_drop"])
+    def test_refuses_a_mask_without_blocks(self, mode):
+        layout, _, table, records = table_pair("mlp")
+        mask = sample_mask(mode, 0.5, layout, len(records), np.random.default_rng(84))
+        with pytest.raises(ValueError, match=repr(mode)):
+            table.lambda_elbo(records, mask, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=repr(mode)):
+            table.impute(records, mask, np.random.default_rng(0))
+
+    def test_layout_must_match_the_record(self):
+        with pytest.raises(ValueError, match="layout"):
+            ActivationDGM(5, TINY, np.random.default_rng(0), LAYOUT)

@@ -128,6 +128,19 @@ class TestGlobalNorm:
         expected = np.sqrt(sum(np.sum(g ** 2) for g in grads if g is not None))
         assert abs(global_norm(grads) - expected) <= 1e-13 * expected
 
+    def test_row_counts_weigh_a_table_as_the_weight_it_stands_for(self):
+        rng = np.random.default_rng(4)
+        table, sizes = rng.standard_normal((4, 6)), np.array([3.0, 1.0, 0.0, 7.0])
+        other = rng.standard_normal(5)
+        dense = np.repeat(table, sizes.astype(int), axis=0)
+        expected = global_norm([other, dense, None])
+        assert abs(global_norm([other, table, None], [None, sizes, sizes]) - expected) <= 1e-13 * expected
+        assert global_norm([other, table], [None, None]) == global_norm([other, table])
+
+    def test_adam_needs_a_row_count_per_parameter(self):
+        with pytest.raises(ValueError, match="row counts"):
+            Adam([Tensor([1.0], requires_grad=True)], lr=0.1, rows=[None, None])
+
     def test_no_gradients_is_zero(self):
         assert global_norm([None, None]) == 0.0
         assert global_norm([]) == 0.0
@@ -220,7 +233,7 @@ class TestFusedStep:
 
         calls = []
         real = optim.global_norm
-        monkeypatch.setattr(optim, "global_norm", lambda grads: calls.append(1) or real(grads))
+        monkeypatch.setattr(optim, "global_norm", lambda *args: calls.append(1) or real(*args))
         p = Tensor(np.zeros(2), requires_grad=True)
         opt = Adam([p], lr=0.1)
         assert opt.step([np.array([30.0, 40.0])], max_norm=5.0) == 50.0

@@ -538,27 +538,44 @@ class TestBundleLoad:
         for name, arr in state.items():
             np.testing.assert_array_equal(loaded_state[name], arr)
 
-    def test_version_1_bundle_loads_with_the_same_predictions(self, tmp_path, monkeypatch):
-        # a version-1 container stored each DGM stack's first layer whole, as
-        # <stack>.0.W: the rows of today's Wa, Wb and (decoder) Wz, stacked
-        ds, spec = blob_setup(seed=35, per_class=30)
-        cfg = TrainConfig(method="pilot", mask_mode="a_aug", epochs=1, batch_size=32, seed=3)
+    def _loads_like_old_version(self, tmp_path, monkeypatch, version, seed):
+        """Train an a_aug bundle, write it again as a ``version`` container
+        of a dense DGM, and check both load with byte-identical ``predict``
+        and ``pilot_mc`` output. The dense ``Wb`` holds each layer's table
+        row T = S + n D in that layer's first row and zeros elsewhere, so its
+        row sums over each layer are T exactly: under block masks the DGM
+        reads ``Wb`` through those sums alone."""
+        ds, spec = blob_setup(seed=32 + seed, per_class=30)
+        cfg = TrainConfig(method="pilot", mask_mode="a_aug", epochs=1, batch_size=32, seed=seed)
         bundle, _ = train(spec, cfg, ds, DGMConfig(latent_dim=4, hidden=(8,)))
+        layout = bundle.classifier.layout
         path, old_path = tmp_path / "model.ckpt", tmp_path / "old.ckpt"
         bundle.save(path)
         tensors, meta = checkpoint.load_tensors(path)
         old = {}
         for name, arr in tensors.items():
-            stack, _, part = name.partition(".0.W")
-            if part in ("a", "b", "z"):
-                old.setdefault(f"{stack}.0.W", []).append(arr)
-            else:
+            stack, _, part = name.partition(".0.")
+            if part == "S":
+                wb = np.zeros((layout.total, arr.shape[1]))
+                wb[list(layout.offsets)] = arr + np.array(layout.sizes, float)[:, None] * tensors[f"{stack}.0.D"]
+                old[f"{stack}.0.Wb"] = wb
+            elif part != "D":
                 old[name] = arr
-        old = {name: np.vstack(arr) if isinstance(arr, list) else arr for name, arr in old.items()}
-        monkeypatch.setattr(checkpoint, "VERSION", 1)
+        if version == 1:
+            # version 1 stored each DGM stack's first layer whole, as
+            # <stack>.0.W: the rows of Wa, Wb and (decoder) Wz, stacked
+            stacked = {}
+            for name, arr in old.items():
+                stack, _, part = name.partition(".0.W")
+                if part in ("a", "b", "z"):
+                    stacked.setdefault(f"{stack}.0.W", []).append(arr)
+                else:
+                    stacked[name] = arr
+            old = {name: np.vstack(arr) if isinstance(arr, list) else arr for name, arr in stacked.items()}
+        monkeypatch.setattr(checkpoint, "VERSION", version)
         checkpoint.save_tensors(old_path, old, meta)
         monkeypatch.undo()
-        assert "dec.0.W" in checkpoint.load_tensors(old_path)[0]
+        assert ("dec.0.W" if version == 1 else "dec.0.Wb") in checkpoint.load_tensors(old_path)[0]
         x = ds.x_test[:40]
         outputs = []
         for loaded in (TrainedBundle.load(path), TrainedBundle.load(old_path)):
@@ -566,3 +583,22 @@ class TestBundleLoad:
                             mc_predict(loaded, x, 3, "pilot_mc", np.random.default_rng(4))))
         for new, from_old in zip(*outputs):
             assert new.tobytes() == from_old.tobytes()
+
+    def test_version_1_bundle_loads_with_the_same_predictions(self, tmp_path, monkeypatch):
+        self._loads_like_old_version(tmp_path, monkeypatch, 1, seed=3)
+
+    def test_version_2_dense_bundle_loads_with_the_same_predictions(self, tmp_path, monkeypatch):
+        self._loads_like_old_version(tmp_path, monkeypatch, 2, seed=4)
+
+    @pytest.mark.parametrize("mode,stored", [("a_aug", ("enc.0.S", "enc.0.D")), ("x_aug", ("dec.0.D",)),
+                                             ("a_drop", ("enc.0.Wb", "dec.0.Wb"))])
+    def test_block_modes_store_the_mask_weight_table(self, tmp_path, mode, stored):
+        ds, spec = blob_setup(seed=36, per_class=20)
+        cfg = TrainConfig(method="pilot", mask_mode=mode, epochs=1, batch_size=32, seed=5)
+        bundle, _ = train(spec, cfg, ds, DGMConfig(latent_dim=4, hidden=(8,)))
+        bundle.save(tmp_path / "model.ckpt")
+        tensors = checkpoint.load_tensors(tmp_path / "model.ckpt")[0]
+        assert all(name in tensors for name in stored)
+        assert ("enc.0.Wb" in tensors) == (mode == "a_drop")
+        loaded = TrainedBundle.load(tmp_path / "model.ckpt")
+        assert loaded.dgm.state_arrays().keys() == bundle.dgm.state_arrays().keys()
