@@ -2,14 +2,17 @@
 
 A ``Tensor`` wraps an ndarray and, when gradients are enabled, remembers the
 op and parents that produced it. ``Tensor.backward()`` walks the recorded
-graph once in reverse topological order, accumulating gradients additively
-across fan-out. Only the primitives in :data:`PRIMITIVES` carry backward
-rules; every loss in the package is composed from them.
+graph once, newest node first (creation order is topological), accumulating
+gradients additively across fan-out. Only the primitives in
+:data:`PRIMITIVES` carry backward rules; every loss in the package is
+composed from them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
+from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -77,7 +80,8 @@ def set_nan_guard(enabled: bool) -> None:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_op", "_parents", "_backward_fn")
+    # _seq, the creation number, is set on recorded nodes only (_make)
+    __slots__ = ("data", "grad", "requires_grad", "_op", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, _op: str = "leaf", _parents=()):
         self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
@@ -108,15 +112,19 @@ class Tensor:
     # -- graph traversal ---------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar loss, accumulating leaf gradients."""
+        """Backpropagate from a scalar loss, accumulating leaf gradients.
+
+        A recorded node's own ``.grad`` is released (set to ``None``) once its
+        rule has passed it on; leaves keep theirs."""
         if self.data.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward_fn is None or node.grad is None:
+        for node in order:
+            if node.grad is None:
                 continue
             node._backward_fn(node.grad)
+            node.grad = None
             if _nan_guard:
                 for parent in node._parents:
                     if parent.grad is not None and not np.all(np.isfinite(parent.grad)):
@@ -170,23 +178,27 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_counter = itertools.count()        # creation numbers of recorded nodes (_make)
+_creation = attrgetter("_seq")
+
+
 def _topo_order(root: Tensor) -> list:
-    visited = set()
-    order = []
-    stack = [(root, False)]
+    """The recorded nodes reachable from ``root``, newest first. A node is
+    made after its parents, so this is a reverse topological order."""
+    seen = {root}
+    stack = [root]
+    nodes = []
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = stack.pop()
+        if node._backward_fn is None:
             continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
+        nodes.append(node)
         for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-    return order
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    nodes.sort(key=_creation, reverse=True)
+    return nodes
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
@@ -209,13 +221,19 @@ def _accumulate(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
 
 
 def _make(data: np.ndarray, op: str, parents, backward_fn) -> Tensor:
+    """The op's output; recorded (numbered, with its parents and rule) when
+    gradients are on and some parent requires one. Runs once per op, so it
+    avoids a generator and keyword arguments."""
     if _nan_guard and np.any(np.isnan(data)):
         raise NumericsError(op, "forward")
-    if not _grad_enabled or not any(p.requires_grad for p in parents):
-        return Tensor(data, _op=op)
-    out = Tensor(data, requires_grad=True, _op=op, _parents=tuple(parents))
-    out._backward_fn = backward_fn
-    return out
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out = Tensor(data, True, op, tuple(parents))
+                out._backward_fn = backward_fn
+                out._seq = next(_counter)
+                return out
+    return Tensor(data, False, op)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:

@@ -164,7 +164,7 @@ def cmd_train(args) -> int:
     bundle, log = train(spec, tcfg, dataset, dcfg, checkpoint_dir=ckpt_dir)
     log.to_csv(out / "train_log.csv")
     last = log.rows[-1]
-    print(f"{bundle.label}: {tcfg.epochs} epochs, final val_acc={last.val_acc:.4f}")
+    print(f"{bundle.label}: {tcfg.epochs} epochs, final test_acc={last.test_acc:.4f}")
     print(f"artifacts in {out}")
     return 0
 

@@ -114,7 +114,8 @@ def hyperprior_penalty(prior: DiagonalGaussian, cfg: HyperpriorConfig) -> Tensor
 
 
 class RunningStandardizer:
-    """Per-position running mean/variance, frozen after a warmup period."""
+    """Per-position running mean/variance, frozen after a warmup period; the
+    frozen std is computed once, at :meth:`freeze`."""
 
     eps = 1e-8
 
@@ -140,9 +141,13 @@ class RunningStandardizer:
         self.count = total
 
     def freeze(self) -> None:
-        self.frozen = True
+        if not self.frozen:
+            self._frozen_std = self._std()
+            self.frozen = True
 
     def _std(self) -> np.ndarray:
+        if self.frozen:
+            return self._frozen_std
         if self.count < 2:
             return np.ones(self.dim)
         return np.sqrt(self.m2 / self.count + self.eps)
@@ -171,8 +176,10 @@ class RunningStandardizer:
         self.mean = np.array(arrays["std.mean"])
         self.m2 = np.array(arrays["std.m2"])
         self.count, frozen, enabled = arrays["std.state"]
-        self.frozen = bool(frozen)
         self.enabled = bool(enabled)
+        self.frozen = False
+        if frozen:
+            self.freeze()
 
 
 class _DenseStack:

@@ -134,10 +134,14 @@ class Registry:
         return {name: t.data for name, t in self._tensors.items()}
 
     def load_state(self, arrays) -> None:
-        # Copied, not adopted: Adam updates parameters in place, and the
-        # caller may keep (or train) the arrays it passed.
+        # Copied into the live arrays, not adopted: a parameter's array may
+        # be a view of an optimiser's buffer (optim.Adam), and the caller may
+        # keep (or train) the arrays it passed.
         for name, t in self._tensors.items():
-            t.data = np.array(arrays[name])
+            if np.shape(arrays[name]) != t.shape:
+                raise ValueError(f"tensor {name!r} has shape {np.shape(arrays[name])}, "
+                                 f"the model needs {t.shape}")
+            np.copyto(t.data, arrays[name])
 
 
 class BatchNorm:

@@ -272,7 +272,7 @@ class EpochStats:
     grad_norm_psi: float = float("nan")
     grad_norm_dgm: float = float("nan")
     train_acc: float = float("nan")
-    val_acc: float = float("nan")
+    test_acc: float = float("nan")
 
 
 LOG_COLUMNS = tuple(f.name for f in dataclasses.fields(EpochStats))
@@ -439,9 +439,9 @@ def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
             for k, v in stats.items():
                 sums[k] = sums.get(k, 0.0) + v
         means = {k: v / steps_per_epoch for k, v in sums.items()}
-        val_preds = classifier.predict(dataset.x_test)
-        val_acc = float((val_preds.argmax(axis=1) == dataset.y_test).mean())
-        log.append(EpochStats(epoch=epoch, val_acc=val_acc, **means))
+        test_preds = classifier.predict(dataset.x_test)
+        test_acc = float((test_preds.argmax(axis=1) == dataset.y_test).mean())
+        log.append(EpochStats(epoch=epoch, test_acc=test_acc, **means))
         if epoch_callback is not None:
             epoch_callback(epoch, bundle, log.rows[-1])
         if checkpoint_dir is not None:

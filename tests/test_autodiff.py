@@ -436,6 +436,32 @@ class TestGradientBookkeeping:
             assert t.grad.flags.writeable and t.grad.flags.owndata
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
+    def test_backward_releases_intermediate_gradients(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        w = Tensor(np.full(4, 2.0), requires_grad=True)
+        h = ad.relu(x * w)
+        y = h + h                                            # fan-out into h
+        loss = ad.square(y).sum()
+        loss.backward()
+        assert h.grad is None and y.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, 8.0 * x.data * w.data * w.data)
+        np.testing.assert_array_equal(w.grad, 8.0 * x.data * x.data * w.data)
+
+    def test_walk_follows_creation_order(self):
+        # b is made before a but used after it: creation order, not the order
+        # parents are listed in, decides which rule runs first
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = ad.exp(x)
+        a = ad.square(x)
+        c = a * b
+        loss = (c + b).sum()
+        assert [n._op for n in ad._topo_order(loss)] == ["sum", "add", "mul", "square", "exp"]
+        loss.backward()
+        np.testing.assert_allclose(x.grad, (2 * x.data + x.data ** 2 + 1.0) * np.exp(x.data),
+                                   rtol=1e-15)
+        with ad.no_grad():
+            assert not hasattr(ad.exp(x), "_seq")            # unrecorded nodes get no number
+
 
 # -- blocked kernels against the per-tap code they replaced -----------------------------
 

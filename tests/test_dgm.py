@@ -389,6 +389,22 @@ class TestStandardizer:
         std.update(rng.standard_normal((50, 2)) + 100.0)
         np.testing.assert_array_equal(std.mean, frozen_mean)
 
+    def test_frozen_std_is_cached_and_byte_identical(self):
+        rng = np.random.default_rng(38)
+        std = RunningStandardizer(5)
+        std.update(rng.standard_normal((40, 5)) * 3.0 + 2.0)
+        a = rng.standard_normal((6, 5))
+        cols = slice(1, 4)
+        live = std.transform(a).tobytes(), std.untransform(a[:, cols], cols).tobytes()
+        std.freeze()
+        assert std._std() is std._std()                    # computed once, at freeze
+        loaded = RunningStandardizer(5)
+        loaded.load_state(std.state_arrays())
+        assert loaded.frozen and loaded._std() is loaded._std()
+        for s in (std, loaded):
+            assert s.transform(a).tobytes() == live[0]
+            assert s.untransform(a[:, cols], cols).tobytes() == live[1]
+
     def test_disabled_is_identity(self):
         std = RunningStandardizer(3, enabled=False)
         std.update(np.ones((10, 3)) * 7.0)

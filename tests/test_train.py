@@ -333,7 +333,7 @@ class TestTrainLoop:
         ds, spec = blob_setup(seed=30, per_class=100)
         cfg = TrainConfig(method="vanilla", epochs=30, batch_size=64, seed=1)
         _, log = train(spec, cfg, ds)
-        assert log.rows[-1].val_acc > 0.95
+        assert log.rows[-1].test_acc > 0.95
         assert len(log.rows) == 30
 
     @pytest.mark.parametrize("method,mode,label", [("add_noise", "a_aug", "add_a_aug"),
@@ -427,7 +427,7 @@ class TestTrainLoop:
         cfg = TrainConfig(method="pilot", mask_mode="a_aug", mask_rate=0.5, epochs=15,
                           batch_size=32, lr_dgm=1e-3, seed=0)
         bundle, log = train(spec, cfg, ds, DGMConfig(latent_dim=4, hidden=(32,)))
-        assert log.rows[-1].val_acc > 0.9
+        assert log.rows[-1].test_acc > 0.9
         assert bundle.dgm is not None
 
     def test_log_csv_schema(self, tmp_path):
@@ -473,7 +473,7 @@ class TestTrainLoop:
         spec = ClassifierSpec(kind="mlp", input_shape=(1, 6, 6), num_classes=2, hidden=(16,))
         cfg = TrainConfig(method="data_aug", data_aug_prob=0.5, epochs=30, batch_size=32, seed=0)
         _, log = train(spec, cfg, ds)
-        assert log.rows[-1].val_acc > 0.9
+        assert log.rows[-1].test_acc > 0.9
 
     def test_bundle_save_load_round_trip(self, tmp_path):
         ds, spec = blob_setup(seed=33, per_class=40)
