@@ -206,13 +206,15 @@ def _accumulate(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
 
     ``fresh`` says the backward rule allocated ``grad`` for this call alone,
     so it may become ``tensor.grad`` as it is. Any other array (a pass-through
-    of the upstream gradient, or a view of it) is copied, so that no two
-    tensors ever share a ``.grad`` array.
+    of the upstream gradient, or a view of it) is copied into a leaf, so that
+    no leaf shares its ``.grad`` array. A recorded node may share it: no rule
+    writes into a gradient, accumulation makes a new array, and the node's
+    ``.grad`` is released once its rule has run.
     """
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
-        if fresh:
+        if fresh or tensor._backward_fn is not None:
             tensor.grad = np.asarray(grad, dtype=DEFAULT_DTYPE)
         else:
             tensor.grad = np.array(grad, dtype=DEFAULT_DTYPE, copy=True)

@@ -205,28 +205,38 @@ def mc_predict(bundle, x, n_samples: int, mode: str, rng) -> np.ndarray:
         raise ValueError(f"unknown mc mode {mode!r}")
     if mode == "pilot_mc" and bundle.dgm is None:
         raise ValueError("pilot_mc needs a trained DGM in the bundle")
-    cfg = bundle.train_config
-    clf = bundle.classifier
-    out = np.empty((len(x), clf.spec.num_classes))
+    out = np.empty((len(x), bundle.classifier.spec.num_classes))
     with ad.no_grad():
         for start in range(0, len(x), READ_BATCH):
             xb = x[start : start + READ_BATCH]
-            if mode == "pilot_mc":
-                _, record = clf.forward_record(xb)
-                a_flat = record.flatten()
-                prepared = (PreparedBatch(bundle.dgm, a_flat, clf.layout)
-                            if cfg.mask_mode in BLOCK_MODES else None)
-            acc = np.zeros((len(xb), clf.spec.num_classes))
-            for _ in range(n_samples):
-                if mode == "pilot_mc":
-                    mask = sample_mask(cfg.mask_mode, cfg.mask_rate, clf.layout, len(xb), rng)
-                    imputed = bundle.dgm.impute(a_flat, mask, rng, prepared=prepared)
-                    logits, _ = clf.forward_spliced(record, mask, imputed)
-                else:
-                    logits = clf.forward(xb, train=True, dropout_rate=cfg.dropout_rate, rng=rng)
-                acc += ad.softmax(logits, axis=1).data
-            out[start : start + len(xb)] = acc / n_samples
+            out[start : start + len(xb)] = _mc_batch(bundle, xb, n_samples, mode, rng)
     return out
+
+
+def _mc_batch(bundle, xb, n_samples: int, mode: str, rng) -> np.ndarray:
+    """``mc_predict`` on one batch. A ``pilot_mc`` batch records its pass
+    once and, under a block mask, prepares its imputations once
+    (:class:`dgm.PreparedBatch`). Every draw reuses both and the arrays
+    they own, so no draw after the first allocates an array of the
+    batch's record size. All of it is freed before the next batch is
+    recorded."""
+    cfg, clf = bundle.train_config, bundle.classifier
+    if mode == "pilot_mc":
+        _, record = clf.forward_record(xb)
+        if cfg.mask_mode in BLOCK_MODES:    # the draws read the prepared batch alone
+            a_flat, prepared = None, PreparedBatch(bundle.dgm, record.flatten(), clf.layout)
+        else:
+            a_flat, prepared = record.flatten(), None
+    acc = np.zeros((len(xb), clf.spec.num_classes))
+    for _ in range(n_samples):
+        if mode == "pilot_mc":
+            mask = sample_mask(cfg.mask_mode, cfg.mask_rate, clf.layout, len(xb), rng)
+            imputed = bundle.dgm.impute(a_flat, mask, rng, prepared=prepared)
+            logits, _ = clf.forward_spliced(record, mask, imputed)
+        else:
+            logits = clf.forward(xb, train=True, dropout_rate=cfg.dropout_rate, rng=rng)
+        acc += ad.softmax(logits, axis=1).data
+    return acc / n_samples
 
 
 def predictions_for(bundle, x, cfg: EvalConfig) -> np.ndarray:

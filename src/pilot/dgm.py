@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericsError, Tensor
-from .masks import BLOCK_MODES, Mask
+from .masks import BLOCK_MODES, Mask, block_groups
 from .nets import Registry, normal_init, require_positive
 
 
@@ -155,13 +155,17 @@ class RunningStandardizer:
     def transform(self, a: np.ndarray) -> np.ndarray:
         if not self.enabled or self.count < 2:
             return np.asarray(a, dtype=np.float64)
-        return (a - self.mean) / self._std()
+        out = np.subtract(a, self.mean)
+        out /= self._std()
+        return out
 
     def untransform(self, values: np.ndarray, cols=slice(None)) -> np.ndarray:
         """Back to activation units; ``values`` holds the positions ``cols``."""
         if not self.enabled or self.count < 2:
             return values
-        return values * self._std()[cols] + self.mean[cols]
+        out = np.multiply(values, self._std()[cols])
+        out += self.mean[cols]
+        return out
 
     def state_arrays(self) -> dict:
         return {
@@ -288,16 +292,15 @@ class _DenseStack:
 
 
 def _observed(a_std: np.ndarray, mask: Mask) -> np.ndarray:
-    """The record the prior and the decoder see: masked positions zero-filled."""
-    return np.asarray(a_std) * (1.0 - mask.values)
-
-
-def block_groups(mask: Mask) -> list:
-    """The positions a block mask covers, as :func:`autodiff.grouped_linear`
-    takes them: a ``(rows, cols)`` pair per layer that some row masks."""
-    layout = mask.layout
-    return [(rows, layout.layer_slice(layer)) for layer in range(layout.n_layers)
-            if len(rows := np.flatnonzero(mask.block == layer))]
+    """The record the prior and the decoder see: masked positions zero-filled,
+    as ``a_std * (1 - b)`` fills them. A block mask's blocks are multiplied
+    by zero in a copy of ``a_std``; its values are not formed."""
+    if mask.block is None:
+        return np.asarray(a_std) * (1.0 - mask.values)
+    observed = np.array(a_std, dtype=np.float64)
+    for rows, cols in block_groups(mask):
+        observed[rows, cols] *= 0.0
+    return observed
 
 
 class _BlockInput:
@@ -336,15 +339,31 @@ class _BlockInput:
 
 class PreparedBatch:
     """What every imputation of one batch of records shares under block
-    masks: the standardised record, and the block products of the prior's
-    and the decoder's first layers. No mask goes into it, so it is built
-    once per batch and passed to every draw's :meth:`ActivationDGM.impute`
-    as ``prepared=``."""
+    masks: the block products of the prior's and the decoder's first
+    layers, from the standardised record, which it does not keep. No mask
+    goes into it, so it is built once per batch and passed to every draw's
+    :meth:`ActivationDGM.impute` as ``prepared=``.
+
+    It also owns the (batch, total) array those imputations return. Each
+    one zeroes the blocks the one before wrote and writes its own, so the
+    array is zero off the current mask; it is valid until the next
+    ``impute`` with this batch.
+    """
 
     def __init__(self, dgm: "ActivationDGM", a_flat: np.ndarray, layout):
-        self.a_std = dgm.standardizer.transform(np.asarray(a_flat))
-        self.prior = _BlockInput(dgm.prior_net, self.a_std, layout)
-        self.decoder = _BlockInput(dgm.decoder, self.a_std, layout)
+        a_std = dgm.standardizer.transform(np.asarray(a_flat))
+        self.prior = _BlockInput(dgm.prior_net, a_std, layout)
+        self.decoder = _BlockInput(dgm.decoder, a_std, layout)
+        self.imputed = np.zeros(a_std.shape)
+        self._written = []      # the blocks of the last imputation's mask
+
+    def imputation(self, mask: Mask) -> np.ndarray:
+        """The imputation array, zeroed where the last imputation wrote; the
+        next call zeroes ``mask``'s blocks."""
+        for rows, cols in self._written:
+            self.imputed[rows, cols] = 0.0
+        self._written = block_groups(mask)
+        return self.imputed
 
 
 class ActivationDGM:
@@ -465,7 +484,7 @@ class ActivationDGM:
                 raise NumericsError(name, "elbo term")
         return lam, diag
 
-    def impute(self, a_flat: np.ndarray, mask: Mask, rng, sample: bool | None = None,
+    def impute(self, a_flat: np.ndarray | None, mask: Mask, rng, sample: bool | None = None,
                *, prior=None, prepared: PreparedBatch | None = None) -> np.ndarray:
         """Generate values for the masked positions via the conditional prior.
 
@@ -479,10 +498,13 @@ class ActivationDGM:
         unmasked layers' block products (:class:`_BlockInput`), and computes
         only the masked layer's columns. ``prepared`` is the
         :class:`PreparedBatch` of this batch of records: with it the prior
-        also runs on the masked rows alone, from the prepared products.
-        Without it the prior is ``prior``, :meth:`condition`'s triple for this
-        record and mask (none of its graph is extended here), or a fresh
-        :meth:`condition`. A mask without a block index takes the dense path
+        also runs on the masked rows alone, from the prepared products, and
+        the result is ``prepared``'s own array, rewritten only on the blocks
+        this mask and the last one cover: it is valid until the next
+        ``impute`` with ``prepared``. ``a_flat`` is then not read, and may
+        be ``None``. Without it the prior is ``prior``,
+        :meth:`condition`'s triple for this record and mask (none of its
+        graph is extended here), or a fresh :meth:`condition`. A mask without a block index takes the dense path
         over every row and column. Both paths draw the same noise from
         ``rng``: a (batch, latent) draw, then a (batch, total) one when
         sampling.
@@ -504,8 +526,8 @@ class ActivationDGM:
                 decoder = _BlockInput(self.decoder, a_std[covered], mask.layout)
                 rows = np.arange(len(covered))      # into the decoder's rows
             else:
-                if len(prepared.a_std) != n:
-                    raise ValueError(f"prepared batch has {len(prepared.a_std)} rows, mask has {n}")
+                if len(prepared.imputed) != n:
+                    raise ValueError(f"prepared batch has {len(prepared.imputed)} rows, mask has {n}")
                 e = rng.standard_normal((n, dz))
                 decoder, rows = prepared.decoder, covered
                 h = self.prior_net.hidden_from_first(prepared.prior(rows, groups))
@@ -513,7 +535,7 @@ class ActivationDGM:
                 z = reparam_sample(p, e[covered]).data
         noise = rng.standard_normal((n, total)) if sample else None
         h = self.decoder.hidden_from_first(decoder(rows, groups, z))
-        out = np.zeros((n, total))
+        out = np.zeros((n, total)) if prepared is None else prepared.imputation(mask)
         for layer, g in groups:
             cols = mask.layout.layer_slice(layer)
             mean = self.decoder.output_cols(h[g], cols)

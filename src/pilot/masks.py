@@ -11,8 +11,6 @@ Four modes, all excluding the logits layer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nets import RecordLayout
@@ -23,7 +21,6 @@ MASK_MODES = ("x_drop", "x_aug", "a_drop", "a_aug")
 BLOCK_MODES = ("x_aug", "a_aug")   # each row masks nothing or one whole layer
 
 
-@dataclass
 class Mask:
     """Binary indicator over flattened record positions, plus provenance.
 
@@ -31,13 +28,31 @@ class Mask:
     :func:`empty_mask`): per row, the one layer masked whole, or -1 for a
     row with nothing masked. Imputation and splicing use it to compute only
     where the mask is; a mask without it takes the dense paths.
+
+    ``values`` is the (batch, total) 0/1 float array. A block mask may be
+    made with ``values=None``: the array is then built from ``block`` on its
+    first read and kept, so a caller that reads only ``block`` never forms
+    it.
     """
 
-    values: np.ndarray          # (batch, total) 0/1 float
-    mode: str
-    rate: float
-    layout: RecordLayout
-    block: np.ndarray | None = None     # (batch,) int layer index or -1
+    def __init__(self, values: np.ndarray | None, mode: str, rate: float, layout: RecordLayout,
+                 block: np.ndarray | None = None):
+        if values is None and block is None:
+            raise ValueError("a mask needs its values or a block index")
+        self._values = values
+        self.mode = mode
+        self.rate = rate
+        self.layout = layout
+        self.block = block      # (batch,) int layer index or -1
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            values = np.zeros((len(self.block), self.layout.total))
+            for rows, cols in block_groups(self):
+                values[rows, cols] = 1.0
+            self._values = values
+        return self._values
 
     def layer(self, index: int) -> np.ndarray:
         return self.values[:, self.layout.layer_slice(index)]
@@ -47,6 +62,14 @@ class Mask:
         if self.block is not None:
             return self.block == index
         return self.layer(index).any(axis=1)
+
+
+def block_groups(mask: Mask) -> list:
+    """The positions a block mask covers, as :func:`autodiff.grouped_linear`
+    takes them: a ``(rows, cols)`` pair per layer that some row masks."""
+    layout = mask.layout
+    return [(rows, layout.layer_slice(layer)) for layer in range(layout.n_layers)
+            if len(rows := np.flatnonzero(mask.block == layer))]
 
 
 def _check_mode(mode: str, rate: float) -> None:
@@ -59,27 +82,22 @@ def _check_mode(mode: str, rate: float) -> None:
 def sample_mask(mode: str, rate: float, layout: RecordLayout, batch: int, rng) -> Mask:
     """Draw one mask per example; logits-layer positions are never masked."""
     _check_mode(mode, rate)
-    values = np.zeros((batch, layout.total))
-    block = None
     last = layout.n_layers - 1
-    if mode == "x_drop":
-        sl = layout.layer_slice(0)
-        values[:, sl] = rng.random((batch, layout.sizes[0])) < rate
-    elif mode == "a_drop":
-        maskable = layout.total - layout.sizes[last]
-        values[:, :maskable] = rng.random((batch, maskable)) < rate
-    else:  # x_aug, a_aug
+    if mode in BLOCK_MODES:     # the values are built on first read
         gate = rng.random(batch) < rate
         chosen = rng.integers(0, last, size=batch) if mode == "a_aug" else 0
-        block = np.where(gate, chosen, -1)
-        for layer in range(last):
-            values[block == layer, layout.layer_slice(layer)] = 1.0
-    return Mask(values=values, mode=mode, rate=rate, layout=layout, block=block)
+        return Mask(None, mode, rate, layout, block=np.where(gate, chosen, -1))
+    values = np.zeros((batch, layout.total))
+    if mode == "x_drop":
+        values[:, layout.layer_slice(0)] = rng.random((batch, layout.sizes[0])) < rate
+    else:  # a_drop
+        maskable = layout.total - layout.sizes[last]
+        values[:, :maskable] = rng.random((batch, maskable)) < rate
+    return Mask(values, mode, rate, layout)
 
 
 def empty_mask(layout: RecordLayout, batch: int, mode: str = "a_aug", rate: float = 0.5) -> Mask:
-    return Mask(values=np.zeros((batch, layout.total)), mode=mode, rate=rate, layout=layout,
-                block=np.full(batch, -1))
+    return Mask(None, mode, rate, layout, block=np.full(batch, -1))
 
 
 def splice(a: np.ndarray, imputed: np.ndarray, mask: Mask) -> np.ndarray:

@@ -76,11 +76,33 @@ class RecordLayout:
 
 
 class ActivationRecord:
-    """Stacked raw pre-activations of one forward pass, a^0..a^L."""
+    """Stacked raw pre-activations of one forward pass, a^0..a^L.
+
+    A no-graph splice of the whole record (``forward_spliced`` under
+    :func:`autodiff.no_grad`) writes the rows it recomputes or substitutes
+    into working copies of the record's layers, not into fresh copies of
+    them: the record makes a layer's copy on the first such write and keeps
+    it. The record's own layers are never written.
+    """
 
     def __init__(self, layers, layout: RecordLayout):
         self.layers = list(layers)
         self.layout = layout
+        self._work = {}     # layer -> (working copy, rows it differs from the record on)
+
+    def working(self, layer: int, rows: np.ndarray) -> np.ndarray:
+        """Layer ``layer``'s working copy for a splice that writes the rows
+        the boolean ``rows`` selects: the record's values on every other
+        row. Rows the last splice wrote there, and this one does not, are
+        restored from the record first; the rest is left as it is."""
+        if layer not in self._work:
+            self._work[layer] = (self.layers[layer].data.copy(), rows.copy())
+            return self._work[layer][0]
+        work, written = self._work[layer]
+        stale = written & ~rows
+        work[stale] = self.layers[layer].data[stale]
+        written[:] = rows
+        return work
 
     @property
     def logits(self) -> Tensor:
@@ -267,55 +289,61 @@ class _ClassifierBase:
         values = values.data if isinstance(values, Tensor) else np.asarray(values)
         return Tensor(values[rows, self.layout.layer_slice(layer)].reshape(shape))
 
-    def _resume(self, layers, start: int, mask, substitute):
+    def _resume(self, record: ActivationRecord, start: int, mask, substitute):
         """The one walk with substituted activations.
 
-        Takes layer ``start`` from ``layers`` and recomputes every later
-        layer from the one before. At each layer with masked positions,
-        ``substitute(layer, fresh, rows)`` gives the values that replace
-        ``fresh``, the fresh values of the batch rows ``rows``, there. Layers
-        before ``start`` are kept as they are. Returns the list of all layers.
+        Takes layer ``start`` from ``record``, which holds at least layers
+        0..``start``, and recomputes every later layer from the one before.
+        At each layer with masked positions, ``substitute(layer, fresh,
+        rows)`` gives the values that replace ``fresh``, the fresh values of
+        the batch rows ``rows``, there. Layers before ``start`` are kept as
+        they are. Returns the list of all layers.
 
-        With a graph, every row of every layer is recomputed and substituted.
-        Without one (under :func:`autodiff.no_grad`) the walk gives the same
+        With a graph, every row of every layer is recomputed and substituted;
+        a block mask's select takes one condition per row. Without one (under :func:`autodiff.no_grad`) the walk gives the same
         values with less work. A layer's substitution touches only the rows
         with masked positions in it; the others keep ``fresh``, which the
-        dense select would return as ``0 * substitute + 1 * fresh``. And when
-        ``layers`` is a whole record, a row-local stage recomputes only the
-        rows whose input has left the record and copies the record's rows,
-        bit-identical to recomputed ones, for the others.
+        dense select would return as ``0 * substitute + 1 * fresh``. Under a
+        block mask such a row's whole layer is masked, so its substitute
+        replaces it with no select at all. And when ``record`` is whole, a
+        row-local stage recomputes only the rows whose input has left the
+        record, and keeps the record's rows, bit-identical to recomputed
+        ones, for the others. The start layer and the row-local layers are
+        then written in the record's working copies
+        (:meth:`ActivationRecord.working`): the layers returned alias those
+        copies until the next such walk.
         """
         graph = ad.grad_enabled()
-        reuse = not graph and len(layers) == self.layout.n_layers
-        left = np.zeros(layers[0].shape[0], dtype=bool)     # rows off the record so far
-        walked = list(layers[:start])
+        reuse = not graph and len(record.layers) == self.layout.n_layers
+        left = np.zeros(record.batch_size, dtype=bool)     # rows off the record so far
+        walked = record.layers[:start]
         for l in range(start, self.layout.n_layers):
+            rows = mask.masked_rows(l)
             if l == start:
-                fresh = layers[start]
+                fresh = record.layers[start]
             elif reuse and l in self.row_local_stages:
-                fresh = self._stage_rows(l, walked[-1], layers[l], left)
+                data = record.working(l, left | rows)
+                data[left] = self._stage(l, Tensor(walked[-1].data[left])).data
+                fresh = Tensor(data)
             else:
                 fresh = self._stage(l, walked[-1])
-            rows = mask.masked_rows(l)
             if graph and rows.any():
-                fresh = ad.where(mask.layer(l).reshape(fresh.shape),
-                                 substitute(l, fresh, slice(None)), fresh)
+                cond = (mask.layer(l).reshape(fresh.shape) if mask.block is None
+                        else rows.reshape((-1,) + (1,) * (fresh.ndim - 1)))
+                fresh = ad.where(cond, substitute(l, fresh, slice(None)), fresh)
             elif rows.any():
-                data = fresh.data.copy() if l == start else fresh.data
-                part = Tensor(data[rows])
-                cond = mask.layer(l)[rows].reshape(part.shape)
-                data[rows] = ad.where(cond, substitute(l, part, rows), part).data
+                part = Tensor(fresh.data[rows])
+                value = substitute(l, part, rows)
+                if mask.block is None:
+                    value = ad.where(mask.layer(l)[rows].reshape(part.shape), value, part)
+                data = fresh.data
+                if l == start:
+                    data = record.working(l, rows) if reuse else data.copy()
+                data[rows] = value.data
                 fresh = Tensor(data)
             left |= rows
             walked.append(fresh)
         return walked
-
-    def _stage_rows(self, layer: int, prev: Tensor, recorded: Tensor, rows) -> Tensor:
-        """Stage ``layer`` on the ``rows`` of ``prev``, into a copy of the
-        recorded layer."""
-        out = recorded.data.copy()
-        out[rows] = self._stage(layer, Tensor(prev.data[rows])).data
-        return Tensor(out)
 
     def forward_spliced(self, record: ActivationRecord, mask, imputed):
         """Resume the recorded pass with imputed values at masked positions.
@@ -326,9 +354,11 @@ class _ClassifierBase:
         take the freshly recomputed one. An empty mask reproduces the
         recorded pass bit-exactly. Under :func:`autodiff.no_grad` only the
         rows a mask has touched are substituted, and the convolution stages
-        recompute only those rows and copy the record's rows for the others;
-        the logits are the same. With a graph every row is recomputed, so
-        that gradient flows through the fresh pass as before.
+        recompute only those rows and keep the record's rows for the others;
+        the logits are the same. The returned record's layers may then
+        alias ``record``'s working copies, valid until the next no-graph
+        splice of ``record`` (see ``_resume``). With a graph every row is
+        recomputed, so that gradient flows through the fresh pass as before.
         """
         if self.spec.batch_norm:
             raise NotImplementedError("splicing through batch-norm classifiers is unsupported")
@@ -338,7 +368,7 @@ class _ClassifierBase:
             return self._layer_constant(imputed, l, fresh.shape, rows)
 
         start = min(masked, default=self.layout.n_layers)    # nothing masked: the record as it is
-        layers = self._resume(record.layers, start, mask, substitute)
+        layers = self._resume(record, start, mask, substitute)
         out = ActivationRecord(layers, self.layout)
         return out.logits, out
 
@@ -354,7 +384,8 @@ class _ClassifierBase:
             value = nl if mode == "sub" else fresh + nl
             return value if propagate else ad.stop_gradient(value)
 
-        return self._resume([self._input_tensor(x)], 0, mask, substitute)[-1]
+        inputs = ActivationRecord([self._input_tensor(x)], self.layout)
+        return self._resume(inputs, 0, mask, substitute)[-1]
 
     def predict(self, x) -> np.ndarray:
         """Class probabilities, row-normalised softmax of the logits."""
@@ -435,7 +466,9 @@ class CNNClassifier(_ClassifierBase):
         elif layer == 2:
             z = ad.conv2d(ad.relu(prev), self.w2) + ad.reshape(self.b2, (1, -1, 1, 1))
         elif layer == 3:
-            pooled = ad.max_pool2d(ad.relu(prev), self.spec.pool)
+            # ReLU and max pooling commute; pooling first runs the ReLU on
+            # a quarter of the values.
+            pooled = ad.relu(ad.max_pool2d(prev, self.spec.pool))
             h = ad.reshape(pooled, (prev.shape[0], -1))
             if dropout_rate:
                 h = dropout_mask_apply(h, dropout_rate, rng, train)

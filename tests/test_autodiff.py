@@ -426,6 +426,25 @@ class TestGradientBookkeeping:
         assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
         assert a.grad.flags.writeable and b.grad.flags.writeable
 
+    def test_pass_through_is_copied_into_leaves_only(self):
+        # u = a + b passes y's gradient on to u uncopied; a and b, the two
+        # leaves that one add feeds, still get arrays of their own.
+        a, b, c = (Tensor(np.full(3, v), requires_grad=True) for v in (1.0, 2.0, 3.0))
+        u = a + b
+        y = u + c
+        seen = {}
+        for name, node in (("y", y), ("u", u)):
+            rule = node._backward_fn
+            node._backward_fn = lambda g, rule=rule, name=name: (seen.setdefault(name, g), rule(g))
+        ad.square(y).sum().backward()
+        assert seen["u"] is seen["y"]
+        grads = (a.grad, b.grad, c.grad)
+        for i, g in enumerate(grads):
+            assert g.flags.writeable and g.flags.owndata
+            assert not np.shares_memory(g, seen["y"])
+            assert all(not np.shares_memory(g, other) for other in grads[i + 1:])
+            np.testing.assert_array_equal(g, np.full(3, 12.0))
+
     def test_view_gradients_are_owned_and_writeable(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         y = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -545,3 +564,24 @@ class TestBlockedKernels:
         assert (x.data == 0).mean() > 0.5 and (y.data == 0).any()
         assert y.data.tobytes() == out.tobytes()
         assert x.grad.tobytes() == dx.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_relu_after_pooling_matches_relu_before_it(self, k):
+        # The CNN pools before its ReLU; both orders give the same bytes,
+        # forward and backward.
+        rng = np.random.default_rng(20 + k)
+        raw = np.round(rng.standard_normal((2, 3, 6, 12)) * 2.0) / 2.0    # ties, exact zeros
+        raw[0, 0] = -np.abs(raw[0, 0]) - 0.5                              # all-negative windows
+        raw[1, 1, :, : 2 * k] = 0.0                                        # all-zero windows
+        raw[1, 1, ::2, 2 * k :: 2] = -0.0                                  # signed zeros
+        g = rng.standard_normal((2, 3, 6 // k, 12 // k))
+        results = []
+        for order in (lambda x: ad.max_pool2d(ad.relu(x), k),
+                      lambda x: ad.relu(ad.max_pool2d(x, k))):
+            x = Tensor(raw, requires_grad=True)
+            y = order(x)
+            (y * Tensor(g)).sum().backward()
+            results.append((y.data.tobytes(), x.grad.tobytes()))
+        pooled = ad.max_pool2d(Tensor(raw), k).data
+        assert (pooled < 0).any() and (pooled == 0).any() and (pooled > 0).any()
+        assert results[0] == results[1]

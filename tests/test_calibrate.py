@@ -1,8 +1,13 @@
 """Calibration metrics, MC prediction, ensembling, and report plumbing."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pilot import autodiff as ad
+from pilot import calibrate
 from pilot.calibrate import (
     CalibrationReport,
     EvalConfig,
@@ -20,7 +25,8 @@ from pilot.calibrate import (
 )
 from pilot.checkpoint import load_tensors
 from pilot.data import synth_blobs
-from pilot.dgm import DGMConfig
+from pilot.dgm import DGMConfig, PreparedBatch
+from pilot.masks import sample_mask
 from pilot.nets import ClassifierSpec
 from pilot.train import TrainConfig, train
 
@@ -327,6 +333,83 @@ class TestMcDrawContract:
         monkeypatch.setattr(clf, "forward_spliced", spliced)
         mc_predict(bundle, ds.x_test[:20], 4, "pilot_mc", np.random.default_rng(0))
         assert calls == ["mask", "impute", "splice"] * 4
+
+
+def block_bundle(kind, mask_mode):
+    """A small trained pilot bundle under a block mask mode, and test rows."""
+    if kind == "mlp":
+        ds = synth_blobs(3, 30, 6, 3.0, seed=45)
+        spec = ClassifierSpec(kind="mlp", input_shape=(6,), num_classes=3, hidden=(8, 8))
+    else:
+        ds = synth_blobs(3, 30, 2 * 8 * 8, 3.0, seed=46)
+        spec = ClassifierSpec(kind="cnn", input_shape=(2, 8, 8), num_classes=3,
+                              conv_channels=(3, 4), dense_width=10)
+        ds = dataclasses.replace(ds, x_train=ds.x_train.reshape(-1, 2, 8, 8),
+                                 x_test=ds.x_test.reshape(-1, 2, 8, 8))
+    cfg = TrainConfig(method="pilot", mask_mode=mask_mode, mask_rate=0.5, epochs=1,
+                      batch_size=32, seed=0)
+    bundle, _ = train(spec, cfg, ds, DGMConfig(latent_dim=4, hidden=(8,)))
+    return bundle, ds.x_test
+
+
+def fresh_per_draw_reference(bundle, x, n_samples, rng, batch):
+    """``pilot_mc`` with nothing reused between draws: a fresh record and a
+    fresh prepared batch for every draw, in ``mc_predict``'s RNG order."""
+    cfg, clf, dgm = bundle.train_config, bundle.classifier, bundle.dgm
+    out = []
+    with ad.no_grad():
+        for start in range(0, len(x), batch):
+            xb = x[start : start + batch]
+            acc = np.zeros((len(xb), clf.spec.num_classes))
+            for _ in range(n_samples):
+                _, record = clf.forward_record(xb)
+                prepared = PreparedBatch(dgm, record.flatten(), clf.layout)
+                mask = sample_mask(cfg.mask_mode, cfg.mask_rate, clf.layout, len(xb), rng)
+                imputed = dgm.impute(record.flatten(), mask, rng, prepared=prepared)
+                logits, _ = clf.forward_spliced(record, mask, imputed)
+                acc += ad.softmax(logits, axis=1).data
+            out.append(acc / n_samples)
+    return np.concatenate(out)
+
+
+class TestMcReuse:
+    """A ``pilot_mc`` batch reuses its record, prepared batch and the arrays
+    they own across draws; the predictions must not change by a bit."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mask_mode", ["x_aug", "a_aug"])
+    def test_matches_fresh_per_draw_reference(self, kind, mask_mode, monkeypatch):
+        bundle, x = block_bundle(kind, mask_mode)
+        monkeypatch.setattr(calibrate, "READ_BATCH", 8)        # batches of 8, 8 and 4 rows
+        x = x[:20]
+        preds = mc_predict(bundle, x, 5, "pilot_mc", np.random.default_rng(7))
+        reference = fresh_per_draw_reference(bundle, x, 5, np.random.default_rng(7), 8)
+        assert preds.tobytes() == reference.tobytes()
+
+    def test_later_draws_allocate_less_than_one_record(self, monkeypatch):
+        # Draws 2..n of a batch allocate no (batch, record)-sized array: the
+        # peak of each stays below one (B, R) float64 array.
+        bundle, x = block_bundle("cnn", "a_aug")
+        x = np.concatenate([x] * 4)
+        n, total = len(x), bundle.classifier.layout.total
+        peaks, base, sample = [], [0], calibrate.sample_mask
+
+        def draw_boundary(*args, **kwargs):
+            # the peak since the last boundary, above what was held there
+            peaks.append(tracemalloc.get_traced_memory()[1] - base[0])
+            tracemalloc.reset_peak()
+            base[0] = tracemalloc.get_traced_memory()[0]
+            return sample(*args, **kwargs) if args else None
+
+        monkeypatch.setattr(calibrate, "sample_mask", draw_boundary)
+        tracemalloc.start()
+        try:
+            mc_predict(bundle, x, 6, "pilot_mc", np.random.default_rng(3))
+            draw_boundary()     # closes the last draw
+        finally:
+            tracemalloc.stop()
+        later = peaks[2:]       # peaks[0] is the set-up's, peaks[1] the first draw's
+        assert len(later) == 5 and max(later) < n * total * 8, (later, n * total * 8)
 
 
 class TestEvaluate:

@@ -455,6 +455,23 @@ class TestBlockImpute:
             assert not block[~on].any() and not dense[~on].any()
             assert rng_block.bit_generator.state == rng_dense.bit_generator.state
 
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_reused_prepared_batch_matches_a_fresh_one(self, kind, sample):
+        # Each imputation rewrites the prepared batch's one array: zero off
+        # its own mask, whatever the last imputation wrote there.
+        layout, model, records = block_world(kind)
+        prepared = PreparedBatch(model, records, layout)
+        for seed in range(4):
+            mode = ("a_aug", "x_aug")[seed % 2]
+            mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
+            out = model.impute(records, mask, np.random.default_rng(70 + seed), sample=sample,
+                               prepared=prepared)
+            fresh = model.impute(records, mask, np.random.default_rng(70 + seed), sample=sample,
+                                 prepared=PreparedBatch(model, records, layout))
+            assert out is prepared.imputed
+            assert out.tobytes() == fresh.tobytes()
+
     def test_one_layer_stacks_match_dense_path(self):
         layout, model, records = block_world("cnn", hidden=())
         mask = sample_mask("a_aug", 0.7, layout, len(records), np.random.default_rng(4))

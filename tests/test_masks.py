@@ -139,26 +139,40 @@ class TestSplice:
             splice(np.zeros((2, 5)), np.zeros((2, 5)), mask)
 
 
-def _a_aug_by_rows(rate, layout, batch, rng):
-    """Reference: the per-row loop ``sample_mask`` used before it assigned
-    one block of rows per layer."""
+def _block_by_rows(mode, rate, layout, batch, rng):
+    """Reference: the eager per-row loop ``sample_mask`` used before it
+    assigned one block of rows per layer, and before block masks built
+    their values on first read."""
     values = np.zeros((batch, layout.total))
     gate = rng.random(batch) < rate
-    chosen = rng.integers(0, layout.n_layers - 1, size=batch)
+    chosen = (rng.integers(0, layout.n_layers - 1, size=batch) if mode == "a_aug"
+              else np.zeros(batch, dtype=int))
     for i in np.nonzero(gate)[0]:
         values[i, layout.layer_slice(int(chosen[i]))] = 1.0
     return values
 
 
 class TestBlockIndex:
+    @pytest.mark.parametrize("mode", ["x_aug", "a_aug"])
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
-    def test_a_aug_values_match_per_row_loop(self, seed):
+    def test_lazy_values_match_eager_per_row_loop(self, mode, seed):
         for rate in (0.2, 0.5, 0.9):
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            mask = sample_mask("a_aug", rate, LAYOUT, 257, rng_new)
-            reference = _a_aug_by_rows(rate, LAYOUT, 257, rng_old)
-            assert mask.values.tobytes() == reference.tobytes()
+            mask = sample_mask(mode, rate, LAYOUT, 257, rng_new)
+            reference = _block_by_rows(mode, rate, LAYOUT, 257, rng_old)
+            # the draw is complete before the values are first read
             assert rng_new.bit_generator.state == rng_old.bit_generator.state
+            assert mask.values.tobytes() == reference.tobytes()
+            assert mask.values is mask.values
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    def test_a_mask_needs_values_or_a_block_index(self):
+        with pytest.raises(ValueError, match="block index"):
+            Mask(None, "a_aug", 0.5, LAYOUT)
+        lazy = Mask(values=None, mode="x_aug", rate=0.5, layout=LAYOUT, block=np.array([0, -1]))
+        expected = np.zeros((2, LAYOUT.total))
+        expected[0, LAYOUT.layer_slice(0)] = 1.0
+        assert lazy.values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", ["x_aug", "a_aug"])
     def test_block_index_agrees_with_values(self, mode):

@@ -85,6 +85,33 @@ class TestForwardRecord:
         plain = clf.forward(x)
         assert logits.data.tobytes() == plain.data.tobytes()
 
+    def test_cnn_record_matches_numpy_reference(self):
+        # conv-relu-conv-relu-maxpool-dense-relu-dense written out in numpy,
+        # with the ReLU before the pooling
+        rng = np.random.default_rng(6)
+        clf = build_classifier(cnn_spec(), rng)
+        x = rng.standard_normal((3, 2, 8, 8))
+        _, record = clf.forward_record(x)
+
+        def conv(a, w, b):
+            k = w.shape[-1]
+            oh, ow = a.shape[2] - k + 1, a.shape[3] - k + 1
+            out = np.zeros((len(a), w.shape[0], oh, ow))
+            for dy in range(k):
+                for dx in range(k):
+                    out += np.einsum("nchw,oc->nohw", a[:, :, dy : dy + oh, dx : dx + ow], w[:, :, dy, dx])
+            return out + b[None, :, None, None]
+
+        relu = lambda a: np.maximum(a, 0.0)
+        a1 = conv(x, clf.w1.data, clf.b1.data)
+        a2 = conv(relu(a1), clf.w2.data, clf.b2.data)
+        n, c, h, w = a2.shape
+        pooled = relu(a2).reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+        a3 = pooled.reshape(n, -1) @ clf.w3.data + clf.b3.data
+        a4 = relu(a3) @ clf.w4.data + clf.b4.data
+        for got, want in zip(record.layers, (x, a1, a2, a3, a4)):
+            np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
     def test_input_recorded_exactly(self):
         rng = np.random.default_rng(4)
         clf = build_classifier(mlp_spec(), rng)
@@ -195,6 +222,26 @@ class TestInferenceSplice:
             assert logits.data.tobytes() == dense_logits.data.tobytes()
             for a, b in zip(spliced.layers, dense.layers):
                 assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("spec_fn", [mlp_spec, cnn_spec])
+    @pytest.mark.parametrize("mode", ["x_aug", "a_aug", "a_drop"])
+    def test_consecutive_splices_of_one_record_match_fresh_records(self, spec_fn, mode):
+        # Without a graph a record's splices write into its working layers;
+        # each must equal a splice of a fresh record, and the record's own
+        # layers must stay as recorded.
+        clf, x, record, imputed = self._world(spec_fn)
+        recorded = [t.data.tobytes() for t in record.layers]
+        for seed in range(4):
+            mask = sample_mask(mode, 0.5, clf.layout, 13, np.random.default_rng(seed))
+            values = imputed * (seed + 1.0)
+            with ad.no_grad():
+                logits, spliced = clf.forward_spliced(record, mask, values)
+                spliced = [t.data.tobytes() for t in spliced.layers]
+                _, fresh_record = clf.forward_record(x)
+                fresh_logits, fresh = clf.forward_spliced(fresh_record, mask, values)
+            assert logits.data.tobytes() == fresh_logits.data.tobytes()
+            assert spliced == [t.data.tobytes() for t in fresh.layers]
+            assert [t.data.tobytes() for t in record.layers] == recorded
 
     def test_conv_stages_recompute_only_rows_off_the_record(self, monkeypatch):
         clf, _, record, imputed = self._world(cnn_spec, batch=16)
