@@ -292,15 +292,8 @@ class _DenseStack:
 
 
 def _observed(a_std: np.ndarray, mask: Mask) -> np.ndarray:
-    """The record the prior and the decoder see: masked positions zero-filled,
-    as ``a_std * (1 - b)`` fills them. A block mask's blocks are multiplied
-    by zero in a copy of ``a_std``; its values are not formed."""
-    if mask.block is None:
-        return np.asarray(a_std) * (1.0 - mask.values)
-    observed = np.array(a_std, dtype=np.float64)
-    for rows, cols in block_groups(mask):
-        observed[rows, cols] *= 0.0
-    return observed
+    """The record the prior and the decoder see: masked positions zero-filled."""
+    return np.asarray(a_std) * (1.0 - mask.values)
 
 
 class _BlockInput:
@@ -357,12 +350,13 @@ class PreparedBatch:
         self.imputed = np.zeros(a_std.shape)
         self._written = []      # the blocks of the last imputation's mask
 
-    def imputation(self, mask: Mask) -> np.ndarray:
+    def imputation(self, blocks: list) -> np.ndarray:
         """The imputation array, zeroed where the last imputation wrote; the
-        next call zeroes ``mask``'s blocks."""
+        next call zeroes ``blocks``, the ``(rows, cols)`` pairs this one
+        writes."""
         for rows, cols in self._written:
             self.imputed[rows, cols] = 0.0
-        self._written = block_groups(mask)
+        self._written = blocks
         return self.imputed
 
 
@@ -535,13 +529,13 @@ class ActivationDGM:
                 z = reparam_sample(p, e[covered]).data
         noise = rng.standard_normal((n, total)) if sample else None
         h = self.decoder.hidden_from_first(decoder(rows, groups, z))
-        out = np.zeros((n, total)) if prepared is None else prepared.imputation(mask)
-        for layer, g in groups:
-            cols = mask.layout.layer_slice(layer)
+        blocks = [(covered[g], mask.layout.layer_slice(layer)) for layer, g in groups]
+        out = np.zeros((n, total)) if prepared is None else prepared.imputation(blocks)
+        for (_, g), (rows_out, cols) in zip(groups, blocks):
             mean = self.decoder.output_cols(h[g], cols)
             if sample:
-                mean = mean + noise[covered[g], cols] * np.sqrt(self.config.decoder_variance)
-            out[covered[g], cols] = self.standardizer.untransform(mean, cols)
+                mean = mean + noise[rows_out, cols] * np.sqrt(self.config.decoder_variance)
+            out[rows_out, cols] = self.standardizer.untransform(mean, cols)
         return out
 
     def _impute_dense(self, a_flat, mask: Mask, rng, sample: bool, prior) -> np.ndarray:

@@ -90,16 +90,19 @@ class ActivationRecord:
         self.layout = layout
         self._work = {}     # layer -> (working copy, rows it differs from the record on)
 
-    def working(self, layer: int, rows: np.ndarray) -> np.ndarray:
+    def working(self, layer: int, rows: np.ndarray, whole: np.ndarray | None = None) -> np.ndarray:
         """Layer ``layer``'s working copy for a splice that writes the rows
-        the boolean ``rows`` selects: the record's values on every other
-        row. Rows the last splice wrote there, and this one does not, are
-        restored from the record first; the rest is left as it is."""
+        the boolean ``rows`` selects and rewrites in full the ones ``whole``
+        selects, a subset of them (default: all of them). It holds the record's
+        values on every row but the ``whole`` ones: rows the last splice
+        wrote are restored from the record first, unless they are among
+        ``whole``; the rest is left as it is."""
+        whole = rows if whole is None else whole
         if layer not in self._work:
             self._work[layer] = (self.layers[layer].data.copy(), rows.copy())
             return self._work[layer][0]
         work, written = self._work[layer]
-        stale = written & ~rows
+        stale = written & ~whole
         work[stale] = self.layers[layer].data[stale]
         written[:] = rows
         return work
@@ -299,8 +302,8 @@ class _ClassifierBase:
         the batch rows ``rows``, there. Layers before ``start`` are kept as
         they are. Returns the list of all layers.
 
-        With a graph, every row of every layer is recomputed and substituted;
-        a block mask's select takes one condition per row. Without one (under :func:`autodiff.no_grad`) the walk gives the same
+        With a graph, every row of every layer is recomputed and substituted.
+        Without one (under :func:`autodiff.no_grad`) the walk gives the same
         values with less work. A layer's substitution touches only the rows
         with masked positions in it; the others keep ``fresh``, which the
         dense select would return as ``0 * substitute + 1 * fresh``. Under a
@@ -322,15 +325,17 @@ class _ClassifierBase:
             if l == start:
                 fresh = record.layers[start]
             elif reuse and l in self.row_local_stages:
-                data = record.working(l, left | rows)
+                # a row masked here but not before keeps the record's values
+                # for a partial mask's select; a block mask replaces it whole
+                whole = left | rows if mask.block is not None else left
+                data = record.working(l, left | rows, whole)
                 data[left] = self._stage(l, Tensor(walked[-1].data[left])).data
                 fresh = Tensor(data)
             else:
                 fresh = self._stage(l, walked[-1])
             if graph and rows.any():
-                cond = (mask.layer(l).reshape(fresh.shape) if mask.block is None
-                        else rows.reshape((-1,) + (1,) * (fresh.ndim - 1)))
-                fresh = ad.where(cond, substitute(l, fresh, slice(None)), fresh)
+                fresh = ad.where(mask.layer(l).reshape(fresh.shape),
+                                 substitute(l, fresh, slice(None)), fresh)
             elif rows.any():
                 part = Tensor(fresh.data[rows])
                 value = substitute(l, part, rows)
