@@ -6,31 +6,23 @@ graph once, newest node first (creation order is topological), accumulating
 gradients additively across fan-out. Only the primitives in
 :data:`PRIMITIVES` carry backward rules; every loss in the package is
 composed from them.
+
+A ``Tensor`` keeps float32 or float64 data as given and turns any other
+input into float64. A primitive works in its operands' dtype; a non-``Tensor``
+operand of a binary one (a Python scalar, say) takes the other's dtype.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch tensor precision (float64 default; float32 build option).
-
-    The 32-bit option needs test tolerances widened by about 100x; all
-    stated acceptance tolerances assume 64-bit.
-    """
-    global DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported default dtype {dtype}")
-    DEFAULT_DTYPE = dtype.type
+_FLOATS = (np.dtype(np.float64), np.dtype(np.float32))      # kept as given
 
 
 class ShapeError(ValueError):
@@ -84,7 +76,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_op", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, _op: str = "leaf", _parents=()):
-        self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._op = _op
@@ -178,6 +171,16 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _pair(a, b):
+    """Both operands as tensors; a non-``Tensor`` one takes the other's dtype."""
+    if not isinstance(a, Tensor):
+        b = as_tensor(b)
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    elif not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, b
+
+
 _counter = itertools.count()        # creation numbers of recorded nodes (_make)
 _creation = attrgetter("_seq")
 
@@ -202,7 +205,7 @@ def _topo_order(root: Tensor) -> list:
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
-    """Add ``grad`` into ``tensor.grad``.
+    """Add ``grad``, cast to ``tensor``'s dtype, into ``tensor.grad``.
 
     ``fresh`` says the backward rule allocated ``grad`` for this call alone,
     so it may become ``tensor.grad`` as it is. Any other array (a pass-through
@@ -215,11 +218,11 @@ def _accumulate(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
         return
     if tensor.grad is None:
         if fresh or tensor._backward_fn is not None:
-            tensor.grad = np.asarray(grad, dtype=DEFAULT_DTYPE)
+            tensor.grad = np.asarray(grad, dtype=tensor.data.dtype)
         else:
-            tensor.grad = np.array(grad, dtype=DEFAULT_DTYPE, copy=True)
+            tensor.grad = np.array(grad, dtype=tensor.data.dtype, copy=True)
     else:
-        tensor.grad = tensor.grad + grad
+        tensor.grad = np.add(tensor.grad, grad, dtype=tensor.data.dtype)
 
 
 def _make(data: np.ndarray, op: str, parents, backward_fn) -> Tensor:
@@ -258,7 +261,7 @@ def _operands(op: str, forward, a, b):
     """Both operands as tensors, and ``forward`` (a numpy ufunc) of their
     data; operands that do not broadcast raise a :class:`ShapeError` naming
     ``op``."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     try:
         return a, b, forward(a.data, b.data)
     except ValueError:
@@ -317,7 +320,7 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     data = a.data @ b.data
@@ -331,43 +334,21 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
-def block_row_sums(w, offsets) -> Tensor:
-    """The row sums of ``w``'s blocks, stacked into a (blocks, columns) tensor.
-
-    Block l runs from row ``offsets[l]`` up to the next offset, and the last
-    one up to the end; ``offsets[0]`` is 0. Under a block mask ``b``,
-    ``b @ w`` is ``member @ block_row_sums(w, offsets)``, with ``member`` the
-    (rows, blocks) 0/1 matrix of the block each row masks. Backward repeats
-    each block's gradient row over that block's rows.
-    """
-    w = as_tensor(w)
-    bounds = [*offsets, len(w.data)]
-    sizes = np.diff(bounds)
-    if w.ndim != 2 or len(offsets) == 0 or offsets[0] != 0 or (sizes < 0).any():
-        raise ShapeError("block_row_sums", w.shape, (len(offsets),))
-    data = np.empty((len(offsets), w.shape[1]), dtype=DEFAULT_DTYPE)
-    for out, start, stop in zip(data, bounds, bounds[1:]):
-        w.data[start:stop].sum(axis=0, out=out)
-
-    def backward(g):
-        _accumulate(w, np.repeat(g, sizes, axis=0), fresh=True)
-
-    return _make(data, "block_row_sums", (w,), backward)
-
-
 def block_table(s, d, sizes) -> Tensor:
     """``s + sizes[:, None] * d``: the block row sums of a weight whose block l
     holds ``sizes[l]`` rows that move together, ``s`` their sums at the start
     and ``d`` the amount each of them has moved since.
 
-    Backward hands ``d`` the table's gradient unscaled, which is the gradient
-    each of block l's rows gets in that weight (see :func:`block_row_sums`).
-    So an elementwise optimiser moves a row of ``d`` exactly as it would move
-    each row of the block. It is not ``d``'s own gradient, which is
-    ``sizes[:, None]`` times larger. ``s`` gets no gradient.
+    Under a block mask ``b``, ``b @ w`` is ``member @ table``, with
+    ``member`` the (rows, blocks) 0/1 matrix of the block each row of ``b``
+    masks. Backward hands ``d`` the table's gradient unscaled, which is the
+    gradient each of block l's rows gets in that weight. So an elementwise
+    optimiser moves a row of ``d`` exactly as it would move each row of the
+    block. It is not ``d``'s own gradient, which is ``sizes[:, None]`` times
+    larger. ``s`` gets no gradient.
     """
-    s, d = as_tensor(s), as_tensor(d)
-    n = np.asarray(sizes, dtype=DEFAULT_DTYPE)
+    s, d = _pair(s, d)
+    n = np.asarray(sizes, dtype=np.result_type(s.data, d.data))
     if s.ndim != 2 or s.shape != d.shape or n.shape != s.shape[:1]:
         raise ShapeError("block_table", s.shape, d.shape, n.shape)
     data = s.data + n[:, None] * d.data
@@ -397,9 +378,10 @@ def grouped_linear(h, w, b, groups) -> Tensor:
     width = (h if w is None else w).shape[1]
     if b.shape != (width,):
         raise ShapeError("grouped_linear", *shapes)
+    parents = (h, b) if w is None else (h, w, b)
     sizes = [len(rows) * len(range(width)[cols]) for rows, cols in groups]
     bounds = np.cumsum([0, *sizes])
-    data = np.empty(bounds[-1], dtype=DEFAULT_DTYPE)
+    data = np.empty(bounds[-1], dtype=np.result_type(*(t.data for t in parents)))
     for (rows, cols), start, stop in zip(groups, bounds, bounds[1:]):
         out = data[start:stop].reshape(len(rows), -1)
         if w is None:
@@ -428,7 +410,6 @@ def grouped_linear(h, w, b, groups) -> Tensor:
             if d is not None:
                 _accumulate(t, d, fresh=True)
 
-    parents = (h, b) if w is None else (h, w, b)
     return _make(data, "grouped_linear", parents, backward)
 
 
@@ -461,7 +442,7 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
     OH*OW`` values each: apart from x, the output and the gradients, memory
     does not grow with the batch.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w = _pair(x, w)
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
     n, c, h, wd = x.shape
@@ -476,7 +457,7 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
         xp = x.data
     w2 = w.data.reshape(o, c * kh * kw)
     blocks = [slice(s, min(n, s + CONV_BLOCK_ROWS)) for s in range(0, n, CONV_BLOCK_ROWS)]
-    out = np.empty((n, o, oh, ow), dtype=DEFAULT_DTYPE)
+    out = np.empty((n, o, oh, ow), dtype=np.result_type(x.data, w.data))
     out_rows = out.reshape(n, o, oh * ow)
     for rows in blocks:
         np.matmul(w2, _patches(xp[rows], kh, kw), out=out_rows[rows])
@@ -610,7 +591,7 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
 def tmean(x, axis=None, keepdims=False) -> Tensor:
     x = as_tensor(x)
     data = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
+    count = x.data.size if axis is None else math.prod(x.shape[a] for a in np.atleast_1d(axis))
 
     def backward(g):
         _accumulate_reduced(x, g / count, axis, keepdims)
@@ -662,7 +643,7 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     data = x.data[index]
 
     def backward(g):
-        full = np.zeros(x.shape, dtype=DEFAULT_DTYPE)
+        full = np.zeros(x.shape, dtype=x.data.dtype)
         full[index] = g
         _accumulate(x, full, fresh=True)
 
@@ -684,8 +665,8 @@ def reshape(x, shape) -> Tensor:
 
 def where(cond, a, b) -> Tensor:
     """Elementwise select by a constant 0/1 mask: cond*a + (1-cond)*b."""
-    c = np.asarray(cond, dtype=DEFAULT_DTYPE)
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
+    c = np.asarray(cond, dtype=np.result_type(a.data, b.data))
     try:
         data = c * a.data + (1.0 - c) * b.data
     except ValueError:
@@ -713,7 +694,6 @@ PRIMITIVES = {
     "mul": mul,
     "div": div,
     "matmul": matmul,
-    "block_row_sums": block_row_sums,
     "block_table": block_table,
     "grouped_linear": grouped_linear,
     "conv2d": conv2d,

@@ -229,28 +229,20 @@ class _DenseStack:
                 self.weights.append(registry.param(f"{prefix}.{i}.W", normal_init(rng, scale, (fan_in, width))))
             self.biases.append(registry.param(f"{prefix}.{i}.b", np.zeros(width)))
 
-    def mask_rows(self, layout) -> Tensor:
-        """``Wb``'s rows summed over each layer of ``layout``, as a (layers,
-        width) tensor: :func:`autodiff.block_row_sums` of ``Wb``, or a table
-        stack's :func:`autodiff.block_table`."""
-        if self.d is None:
-            return ad.block_row_sums(self.wb, layout.offsets)
-        return ad.block_table(self.s, self.d, self.sizes)
-
     def first(self, x: np.ndarray, mask: Mask, z: Tensor | None = None) -> Tensor:
         """The first layer's product with ``[x, mask.values, z]``, bias not yet
-        added. Under a block mask, ``mask.values @ Wb`` is the (rows, layers)
-        0/1 membership times :meth:`mask_rows`. A table stack refuses a mask
-        without a block index."""
-        if mask.block is not None:
-            member = mask.block[:, None] == np.arange(mask.layout.n_layers)
-            b_wb = ad.matmul(member, self.mask_rows(mask.layout))
-        elif self.d is None:
+        added. A dense ``Wb`` is multiplied by ``mask.values`` under every
+        mask; a table by the (rows, layers) 0/1 layer membership, so a table
+        stack refuses a mask without a block index."""
+        if self.d is None:
             b_wb = ad.matmul(mask.values, self.wb)
-        else:
+        elif mask.block is None:
             raise ValueError(f"this DGM keeps its mask weights as one row per layer, for the block "
                              f"mask modes {BLOCK_MODES} alone; a mask of mode {mask.mode!r} has no "
                              f"block index")
+        else:
+            member = mask.block[:, None] == np.arange(mask.layout.n_layers)
+            b_wb = ad.matmul(member, ad.block_table(self.s, self.d, self.sizes))
         h = ad.matmul(x, self.wa) + b_wb
         return h if z is None else h + ad.matmul(z, self.wz)
 
@@ -291,6 +283,11 @@ class _DenseStack:
         return np.maximum(h, 0.0) @ self.weights[-1].data[:, cols] + self.biases[-1].data[cols]
 
 
+def _layer_sums(w: np.ndarray, layout) -> np.ndarray:
+    """``w``'s rows summed over each layer of ``layout``: (layers, width)."""
+    return np.array([w[layout.layer_slice(k)].sum(axis=0) for k in range(layout.n_layers)])
+
+
 def _observed(a_std: np.ndarray, mask: Mask) -> np.ndarray:
     """The record the prior and the decoder see: masked positions zero-filled."""
     return np.asarray(a_std) * (1.0 - mask.values)
@@ -303,17 +300,19 @@ class _BlockInput:
     The stack's input is ``[a_std * (1 - b), b, extra]``. For a row that
     masks layer l, the first layer is the sum over every other layer k of
     ``a_std[:, k] @ Wa[k]``, plus the rows of ``Wb`` summed over layer l
-    (:meth:`_DenseStack.mask_rows`), plus ``extra @ Wz`` and the bias. The
-    products are computed once for ``a_std``'s rows. The masked layer's own
-    product is left out of the sum, not subtracted from a total, so no
-    masked value reaches the result, not even at roundoff.
+    (:func:`_layer_sums`, or a table stack's table), plus ``extra @ Wz`` and
+    the bias. The products are computed once for ``a_std``'s rows. The
+    masked layer's own product is left out of the sum, not subtracted from a
+    total, so no masked value reaches the result, not even at roundoff.
     """
 
     def __init__(self, stack: _DenseStack, a_std: np.ndarray, layout):
         layers = [layout.layer_slice(k) for k in range(layout.n_layers)]
         self.products = [a_std[:, sl] @ stack.wa.data[sl] for sl in layers]
-        with ad.no_grad():
-            self.mask_sums = stack.mask_rows(layout).data
+        if stack.d is None:
+            self.mask_sums = _layer_sums(stack.wb.data, layout)
+        else:
+            self.mask_sums = ad.block_table(stack.s, stack.d, stack.sizes).data
         self.wz = None if stack.wz is None else stack.wz.data
         self.bias = stack.biases[0].data
 
@@ -349,6 +348,7 @@ class PreparedBatch:
         self.decoder = _BlockInput(dgm.decoder, a_std, layout)
         self.imputed = np.zeros(a_std.shape)
         self._written = []      # the blocks of the last imputation's mask
+        self._noise = None
 
     def imputation(self, blocks: list) -> np.ndarray:
         """The imputation array, zeroed where the last imputation wrote; the
@@ -358,6 +358,13 @@ class PreparedBatch:
             self.imputed[rows, cols] = 0.0
         self._written = blocks
         return self.imputed
+
+    def noise(self, rng) -> np.ndarray:
+        """``rng.standard_normal((batch, total))``, drawn into the batch's
+        noise array, which the first call makes."""
+        if self._noise is None:
+            self._noise = np.empty(self.imputed.shape)
+        return rng.standard_normal(out=self._noise)
 
 
 class ActivationDGM:
@@ -433,9 +440,8 @@ class ActivationDGM:
         triple for this record and mask, built with gradients enabled.
 
         A block mask (one that carries ``mask.block``) takes the block path:
-        no first layer forms the mask, and the decoder's output layer and the
-        likelihood run on the masked blocks alone. It equals the dense path up
-        to reassociation.
+        the decoder's output layer and the likelihood run on the masked
+        blocks alone. It equals the dense path up to reassociation.
         """
         a_std, observed, p = self.condition(a_flat, mask) if prior is None else prior
         q = self.encode(a_std, mask)
@@ -496,12 +502,12 @@ class ActivationDGM:
         the result is ``prepared``'s own array, rewritten only on the blocks
         this mask and the last one cover: it is valid until the next
         ``impute`` with ``prepared``. ``a_flat`` is then not read, and may
-        be ``None``. Without it the prior is ``prior``,
-        :meth:`condition`'s triple for this record and mask (none of its
-        graph is extended here), or a fresh :meth:`condition`. A mask without a block index takes the dense path
-        over every row and column. Both paths draw the same noise from
-        ``rng``: a (batch, latent) draw, then a (batch, total) one when
-        sampling.
+        be ``None``. Without it the prior is ``prior``, :meth:`condition`'s
+        triple for this record and mask (none of its graph is extended
+        here), or a fresh :meth:`condition`. A mask without a block index
+        takes the dense path over every row and column. Both paths draw the
+        same noise from ``rng``: a (batch, latent) draw, then a (batch,
+        total) one when sampling (:meth:`PreparedBatch.noise`).
         """
         if sample is None:
             sample = self.config.impute_sample
@@ -527,7 +533,8 @@ class ActivationDGM:
                 h = self.prior_net.hidden_from_first(prepared.prior(rows, groups))
                 p = self._split(Tensor(self.prior_net.output_cols(h)))
                 z = reparam_sample(p, e[covered]).data
-        noise = rng.standard_normal((n, total)) if sample else None
+        if sample:
+            noise = rng.standard_normal((n, total)) if prepared is None else prepared.noise(rng)
         h = self.decoder.hidden_from_first(decoder(rows, groups, z))
         blocks = [(covered[g], mask.layout.layer_slice(layer)) for layer, g in groups]
         out = np.zeros((n, total)) if prepared is None else prepared.imputation(blocks)
@@ -573,6 +580,6 @@ class ActivationDGM:
                 arrays.update(zip(names, np.split(w, cuts)))
             if self.layout is not None and np.shape(arrays.get(f"{stack}.0.Wb"))[:1] == (r,):
                 wb = arrays.pop(f"{stack}.0.Wb")
-                arrays[f"{stack}.0.S"] = ad.block_row_sums(wb, self.layout.offsets).data
+                arrays[f"{stack}.0.S"] = _layer_sums(wb, self.layout)
                 arrays[f"{stack}.0.D"] = np.zeros_like(arrays[f"{stack}.0.S"])
         return arrays

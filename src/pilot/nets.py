@@ -265,7 +265,7 @@ class _ClassifierBase:
         self.registry.load_state(arrays)
 
     def _input_tensor(self, x) -> Tensor:
-        x = np.asarray(x, dtype=ad.DEFAULT_DTYPE)
+        x = np.asarray(x, dtype=np.float64)
         if self.spec.kind == "mlp":
             return Tensor(x.reshape(len(x), -1))
         return Tensor(x.reshape((len(x),) + tuple(self.spec.input_shape)))

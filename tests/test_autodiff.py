@@ -163,14 +163,6 @@ class TestPrimitiveGradients:
             return [a, b], lambda: ad.where(m, a, b).sum()
         self._run(case)
 
-    def test_block_row_sums(self):
-        offsets = (0, 2, 5)                     # blocks of 2, 3 and 1 rows
-        def case(rng):
-            w = _param(rng, 6, 3)
-            g = rng.standard_normal((3, 3))
-            return [w], lambda: ad.square(ad.block_row_sums(w, offsets) * Tensor(g)).sum()
-        self._run(case)
-
     def test_grouped_linear(self):
         groups = [(np.array([0, 3]), slice(0, 2)), (np.array([4, 1, 5]), slice(2, 6))]
         def case(rng):
@@ -229,43 +221,24 @@ class TestTrivialExamples:
 class TestBlockOps:
     """The block-mask primitives against the dense products they stand for."""
 
-    def test_block_row_sums_times_membership_is_the_mask_product(self):
-        rng = np.random.default_rng(11)
-        offsets = (0, 4, 5)                     # blocks of 4, 1 and 3 rows
-        w = rng.standard_normal((8, 5))
-        block = np.array([1, -1, 0, 2, 0, -1])
-        b = np.zeros((6, 8))
-        for i, layer in enumerate(block):
-            if layer >= 0:
-                b[i, offsets[layer] : (offsets + (8,))[layer + 1]] = 1.0
-        member = (block[:, None] == np.arange(3)).astype(float)
-        np.testing.assert_allclose(member @ ad.block_row_sums(w, offsets).data, b @ w,
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_block_row_sums_backward_repeats_each_block_row(self):
-        rng = np.random.default_rng(12)
-        w = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
-        g = rng.standard_normal((3, 3))
-        (ad.block_row_sums(w, (0, 2, 2)) * Tensor(g)).sum().backward()
-        # block 1 is empty: its gradient row reaches no row of w
-        np.testing.assert_array_equal(w.grad, np.vstack([np.tile(g[0], (2, 1)), np.tile(g[2], (5, 1))]))
-
     def test_block_table_is_the_row_sums_of_the_moved_weight(self):
         # a weight whose block rows all moved by d has row sums s + n d, and
-        # d's gradient is the one every row of its block gets in that weight
+        # d's gradient is the one every row of its block gets in that weight:
+        # under sum(row_sums(w) * g), each row of block l gets g[l]
         rng = np.random.default_rng(14)
-        offsets, sizes = (0, 4, 5), np.array([4, 1, 3])
+        bounds, sizes = (0, 4, 5, 8), np.array([4, 1, 3])
         w0, d = rng.standard_normal((8, 5)), rng.standard_normal((3, 5))
-        w = Tensor(w0 + np.repeat(d, sizes, axis=0), requires_grad=True)
-        s = ad.block_row_sums(w0, offsets).data
+
+        def row_sums(w):
+            return np.array([w[start:stop].sum(axis=0) for start, stop in zip(bounds, bounds[1:])])
+
         dt = Tensor(d, requires_grad=True)
-        table = ad.block_table(s, dt, sizes)
-        dense = ad.block_row_sums(w, offsets)
-        np.testing.assert_allclose(table.data, dense.data, rtol=1e-12, atol=1e-12)
+        table = ad.block_table(row_sums(w0), dt, sizes)
+        np.testing.assert_allclose(table.data, row_sums(w0 + np.repeat(d, sizes, axis=0)),
+                                   rtol=1e-12, atol=1e-12)
         g = rng.standard_normal((3, 5))
         (table * Tensor(g)).sum().backward()
-        (dense * Tensor(g)).sum().backward()
-        np.testing.assert_array_equal(np.repeat(dt.grad, sizes, axis=0), w.grad)
+        np.testing.assert_array_equal(dt.grad, g)
 
     def test_grouped_linear_is_the_dense_product_at_the_groups(self):
         rng = np.random.default_rng(13)
@@ -280,12 +253,6 @@ class TestBlockOps:
         assert ad.grouped_linear(h, w, b, []).shape == (0,)
 
     def test_shape_errors_name_the_op(self):
-        w = np.ones((7, 4))
-        for offsets in ((), (1, 3), (0, 5, 3), (0, 8)):
-            with pytest.raises(ShapeError, match="block_row_sums"):
-                ad.block_row_sums(w, offsets)
-        with pytest.raises(ShapeError, match="block_row_sums"):
-            ad.block_row_sums(np.ones(7), (0,))
         for s, d, sizes in ((np.ones((2, 4)), np.ones((2, 3)), (1, 1)),
                             (np.ones((2, 4)), np.ones((2, 4)), (1, 1, 1)), (np.ones(2), np.ones(2), (1, 1))):
             with pytest.raises(ShapeError, match="block_table"):
@@ -348,22 +315,79 @@ class TestErrorsAndGuards:
         assert y._parents == ()
 
 
-class TestDtypeOption:
-    def test_float32_build_option(self):
-        ad.set_default_dtype(np.float32)
-        try:
-            x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-            assert x.data.dtype == np.float32
-            loss = ad.square(x).sum()
-            loss.backward()
-            assert loss.data.dtype == np.float32
-            np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0], rtol=1e-6)
-        finally:
-            ad.set_default_dtype(np.float64)
+# Per primitive: the shapes of its float32 leaves, and the primitive on them.
+FLOAT32_CASES = {
+    "add": ([(3, 4), (4,)], ad.add),
+    "sub": ([(3, 4), (3, 4)], ad.sub),
+    "mul": ([(3, 4), (1, 4)], ad.mul),
+    "div": ([(3, 4), (4,)], lambda a, b: ad.div(a, ad.exp(b))),
+    "matmul": ([(3, 4), (4, 2)], ad.matmul),
+    "block_table": ([(3, 4)], lambda d: ad.block_table(np.ones((3, 4), np.float32), d, np.array([2, 1, 5]))),
+    "grouped_linear": ([(5, 3), (3, 6), (6,)], lambda h, w, b: ad.grouped_linear(
+        h, w, b, [(np.array([4, 0]), slice(0, 4)), (np.array([2]), slice(4, 6))])),
+    "conv2d": ([(2, 2, 5, 5), (3, 2, 3, 3)], lambda x, w: ad.conv2d(x, w, padding=1)),
+    "max_pool2d": ([(2, 2, 4, 4)], lambda x: ad.max_pool2d(x, 2)),
+    "relu": ([(3, 4)], ad.relu),
+    "exp": ([(3, 4)], ad.exp),
+    "log": ([(3, 4)], lambda x: ad.log(ad.square(x) + 1.0)),
+    "sum": ([(3, 4)], lambda x: ad.tsum(x, axis=1)),
+    "mean": ([(3, 4)], lambda x: ad.tmean(x, axis=0) + ad.tmean(x)),
+    "square": ([(3, 4)], ad.square),
+    "sqrt": ([(3, 4)], lambda x: ad.sqrt(ad.square(x) + 1.0)),
+    "softmax": ([(3, 4)], lambda x: ad.softmax(x, axis=1)),
+    "concat": ([(3, 4), (3, 2)], lambda a, b: ad.concat([a, b], axis=1)),
+    "narrow": ([(3, 6)], lambda x: ad.narrow(x, 1, 2, 3)),
+    "reshape": ([(3, 4)], lambda x: ad.reshape(x, (2, 6))),
+    "where": ([(3, 4), (3, 4)], lambda a, b: ad.where(np.arange(12).reshape(3, 4) % 2, a, b)),
+    "stop_gradient": ([(3, 4)], lambda x: ad.stop_gradient(x) * x),
+}
 
-    def test_rejects_other_dtypes(self):
-        with pytest.raises(ValueError, match="dtype"):
-            ad.set_default_dtype(np.int32)
+
+class TestDtype:
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_float32_graph_stays_float32(self, name, monkeypatch):
+        # every gradient a backward rule hands on is float32 too, before
+        # _accumulate casts it to its tensor's dtype
+        handed = []
+        accumulate = ad._accumulate
+
+        def spy(tensor, grad, fresh=False):
+            handed.append(np.asarray(grad).dtype)
+            accumulate(tensor, grad, fresh)
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        shapes, op = FLOAT32_CASES[name]
+        rng = np.random.default_rng(15)
+        leaves = [Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                  for shape in shapes]
+        out = op(*leaves)
+        assert out.data.dtype == np.float32
+        loss = ad.square(out * 0.5 - 1.0).sum() / 2.0 + 1.0     # Python scalar operands
+        assert loss.data.dtype == np.float32
+        loss.backward()
+        assert handed and set(handed) == {np.dtype(np.float32)}
+        for leaf in leaves:
+            assert leaf.grad is not None and leaf.grad.dtype == np.float32
+
+    def test_tensor_keeps_float_data_and_casts_the_rest(self):
+        for data in (np.ones(3, np.float32), np.ones(3)):
+            assert Tensor(data).data is data
+        for data in (np.ones(3, np.int64), np.ones(3, bool), np.ones(3, np.float16), [1, 2], 2.5):
+            assert Tensor(data).data.dtype == np.float64
+        # a non-Tensor operand takes the other operand's dtype
+        x = Tensor(np.ones(3, np.float32))
+        assert (x * np.ones(3)).data.dtype == np.float32
+        assert ad.sub(np.ones(3), x).data.dtype == np.float32
+        assert ad.matmul(np.ones((2, 3), bool), Tensor(np.ones((3, 1), np.float32))).data.dtype == np.float32
+
+    def test_accumulated_gradient_takes_the_leaf_dtype(self):
+        # a float32 leaf feeding a float32 and a float64 op, in either order
+        for first in (0, 1):
+            x = Tensor(np.ones(3, np.float32), requires_grad=True)
+            terms = [(x * 2.0).sum(), (x * Tensor(np.ones(3))).sum()]
+            (terms[first] + terms[1 - first]).backward()
+            assert x.grad.dtype == np.float32
+            np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
 
 
 class TestStopGradientContract:

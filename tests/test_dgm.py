@@ -435,6 +435,25 @@ def dense_copy(mask):
     return Mask(mask.values, mask.mode, mask.rate, mask.layout)
 
 
+def assert_impute_matches_dense(layout, model, records, mode, sample, prepared, twin=None):
+    """``model``'s imputations under block masks of ``mode`` against
+    ``twin``'s (default: ``model``'s) on the same masks without their block
+    index."""
+    twin = model if twin is None else twin
+    for seed in range(3):
+        mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
+        assert mask.block is not None and (mask.block >= 0).any()
+        rng_block, rng_dense = np.random.default_rng(50 + seed), np.random.default_rng(50 + seed)
+        extra = {"prepared": PreparedBatch(model, records, layout)} if prepared else {}
+        block = model.impute(records, mask, rng_block, sample=sample, **extra)
+        dense = twin.impute(records, dense_copy(mask), rng_dense, sample=sample)
+        on = mask.values > 0
+        scale = np.abs(dense[on]).max()
+        np.testing.assert_allclose(block[on], dense[on], rtol=1e-12, atol=1e-12 * scale)
+        assert not block[~on].any() and not dense[~on].any()
+        assert rng_block.bit_generator.state == rng_dense.bit_generator.state
+
+
 class TestBlockImpute:
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
@@ -442,35 +461,27 @@ class TestBlockImpute:
     @pytest.mark.parametrize("prepared", [False, True])
     def test_matches_dense_path(self, kind, mode, sample, prepared):
         layout, model, records = block_world(kind)
-        for seed in range(3):
-            mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
-            assert mask.block is not None and (mask.block >= 0).any()
-            rng_block, rng_dense = np.random.default_rng(50 + seed), np.random.default_rng(50 + seed)
-            extra = {"prepared": PreparedBatch(model, records, layout)} if prepared else {}
-            block = model.impute(records, mask, rng_block, sample=sample, **extra)
-            dense = model.impute(records, dense_copy(mask), rng_dense, sample=sample)
-            on = mask.values > 0
-            scale = np.abs(dense[on]).max()
-            np.testing.assert_allclose(block[on], dense[on], rtol=1e-12, atol=1e-12 * scale)
-            assert not block[~on].any() and not dense[~on].any()
-            assert rng_block.bit_generator.state == rng_dense.bit_generator.state
+        assert_impute_matches_dense(layout, model, records, mode, sample, prepared)
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     @pytest.mark.parametrize("sample", [False, True])
     def test_reused_prepared_batch_matches_a_fresh_one(self, kind, sample):
         # Each imputation rewrites the prepared batch's one array: zero off
-        # its own mask, whatever the last imputation wrote there.
+        # its own mask, whatever the last imputation wrote there. A sampled
+        # one draws its noise into the batch's noise array, made on the
+        # first draw: the same values, and the same RNG stream.
         layout, model, records = block_world(kind)
         prepared = PreparedBatch(model, records, layout)
         for seed in range(4):
             mode = ("a_aug", "x_aug")[seed % 2]
             mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
-            out = model.impute(records, mask, np.random.default_rng(70 + seed), sample=sample,
-                               prepared=prepared)
-            fresh = model.impute(records, mask, np.random.default_rng(70 + seed), sample=sample,
+            rng, rng_fresh = np.random.default_rng(70 + seed), np.random.default_rng(70 + seed)
+            out = model.impute(records, mask, rng, sample=sample, prepared=prepared)
+            fresh = model.impute(records, mask, rng_fresh, sample=sample,
                                  prepared=PreparedBatch(model, records, layout))
             assert out is prepared.imputed
             assert out.tobytes() == fresh.tobytes()
+            assert rng.bit_generator.state == rng_fresh.bit_generator.state
 
     def test_one_layer_stacks_match_dense_path(self):
         layout, model, records = block_world("cnn", hidden=())
@@ -532,23 +543,30 @@ def elbo_and_gradients(model, records, mask, eps):
     return float(lam.data), diag, [p.grad for p in model.parameters()]
 
 
-class TestBlockElbo:
-    """The ELBO under a block mask (first layers without the mask half, the
-    decoder head and likelihood on the masked block alone) against the dense
-    path on the same mask."""
+def assert_elbo_matches_dense(model, records, mask, twin=None):
+    """``model``'s ELBO and gradients under ``mask`` against ``twin``'s
+    (default: ``model``'s) on the same mask without its block index. A
+    table's gradient is each row of its layer's block's in the twin's
+    ``Wb``."""
+    twin = model if twin is None else twin
+    eps = [np.random.default_rng(60 + i).standard_normal((len(records), model.config.latent_dim))
+           for i in range(model.config.n_z)]
+    lam, diag, grads = elbo_and_gradients(model, records, mask, eps)
+    lam_d, diag_d, grads_d = elbo_and_gradients(twin, records, dense_copy(mask), eps)
+    np.testing.assert_allclose(lam, lam_d, rtol=1e-12)
+    assert diag.keys() == diag_d.keys()
+    for name in diag:
+        np.testing.assert_allclose(diag[name], diag_d[name], rtol=1e-12, atol=1e-300)
+    for p, g, g_d in zip(model.parameters(), grads, grads_d):
+        assert g is not None and g.shape == p.shape
+        if g.shape != g_d.shape:
+            g = np.repeat(g, mask.layout.sizes, axis=0)
+        np.testing.assert_allclose(g, g_d, rtol=1e-12, atol=1e-12 * np.abs(g_d).max())
 
-    def assert_matches_dense(self, model, records, mask):
-        eps = [np.random.default_rng(60 + i).standard_normal((len(records), model.config.latent_dim))
-               for i in range(model.config.n_z)]
-        lam, diag, grads = elbo_and_gradients(model, records, mask, eps)
-        lam_d, diag_d, grads_d = elbo_and_gradients(model, records, dense_copy(mask), eps)
-        np.testing.assert_allclose(lam, lam_d, rtol=1e-12)
-        assert diag.keys() == diag_d.keys()
-        for name in diag:
-            np.testing.assert_allclose(diag[name], diag_d[name], rtol=1e-12, atol=1e-300)
-        for p, g, g_d in zip(model.parameters(), grads, grads_d):
-            assert g is not None and g.shape == p.shape
-            np.testing.assert_allclose(g, g_d, rtol=1e-12, atol=1e-12 * np.abs(g_d).max())
+
+class TestBlockElbo:
+    """The ELBO under a block mask (the decoder head and likelihood on the
+    masked block alone) against the dense path on the same mask."""
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
@@ -558,12 +576,12 @@ class TestBlockElbo:
         for seed in range(2):
             mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
             assert (mask.block >= 0).any() and (mask.block < 0).any()
-            self.assert_matches_dense(model, records, mask)
+            assert_elbo_matches_dense(model, records, mask)
 
     def test_batch_with_no_masked_row(self):
         layout, model, records = block_world("cnn")
         mask = empty_mask(layout, len(records))
-        self.assert_matches_dense(model, records, mask)
+        assert_elbo_matches_dense(model, records, mask)
         _, diag = model.lambda_elbo(records, mask, rng=np.random.default_rng(0))
         assert diag["recon"] == 0.0
 
@@ -572,7 +590,7 @@ class TestBlockElbo:
         # hidden=(): the decoder's first layer is its output layer
         layout, model, records = block_world(kind, hidden=())
         mask = sample_mask("a_aug", 0.7, layout, len(records), np.random.default_rng(3))
-        self.assert_matches_dense(model, records, mask)
+        assert_elbo_matches_dense(model, records, mask)
 
     def test_gradients_match_finite_differences(self):
         model = tiny_dgm(seed=41)
@@ -648,6 +666,11 @@ def table_pair(kind, seed=80, hidden=(16, 12)):
     return layout, dense, table, rng.standard_normal((24, layout.total)) * scale + 1.0
 
 
+def layer_sums(w, layout):
+    """``w``'s rows summed over each layer of ``layout``, in numpy."""
+    return np.array([w[layout.layer_slice(k)].sum(axis=0) for k in range(layout.n_layers)])
+
+
 def relative_error(got, expected):
     return np.abs(got - expected).max() / max(np.abs(expected).max(), 1e-300)
 
@@ -680,7 +703,7 @@ class TestMaskTable:
             for name in STACKS:
                 d_stack, t_stack = getattr(dense, name), getattr(table, name)
                 t = ad.block_table(t_stack.s, t_stack.d, t_stack.sizes).data
-                assert relative_error(t, ad.block_row_sums(d_stack.wb, layout.offsets).data) <= 1e-12
+                assert relative_error(t, layer_sums(d_stack.wb.data, layout)) <= 1e-12
             t_state, d_state = table.registry.state_arrays(), dense.registry.state_arrays()
             others = [k for k in d_state if not k.endswith(".0.Wb")]
             assert others == [k for k in t_state if not k.endswith((".0.S", ".0.D"))]
@@ -711,7 +734,7 @@ class TestMaskTable:
                 pairs.append((t_stack.wz, d_stack.wz))
             for t, d in pairs:
                 assert t.data.tobytes() == d.data.tobytes()
-            assert t_stack.s.data.tobytes() == ad.block_row_sums(d_stack.wb, layout.offsets).data.tobytes()
+            assert t_stack.s.data.tobytes() == layer_sums(d_stack.wb.data, layout).tobytes()
             assert not t_stack.d.data.any() and t_stack.wb is None
         # each stack's (record, width) Wb became a (layers, width) D
         saved = sum((layout.total - layout.n_layers) * getattr(dense, n).wa.shape[1] for n in STACKS)
@@ -726,7 +749,7 @@ class TestMaskTable:
         table.load_state(table.upgrade(dense.state_arrays()))
         for name in STACKS:
             d_stack, t_stack = getattr(dense, name), getattr(table, name)
-            assert t_stack.s.data.tobytes() == ad.block_row_sums(d_stack.wb, layout.offsets).data.tobytes()
+            assert t_stack.s.data.tobytes() == layer_sums(d_stack.wb.data, layout).tobytes()
             assert not t_stack.d.data.any()
         mask = sample_mask("a_aug", 0.6, layout, len(records), np.random.default_rng(86))
         eps = np.random.default_rng(87).standard_normal((len(records), 3))
@@ -747,3 +770,39 @@ class TestMaskTable:
     def test_layout_must_match_the_record(self):
         with pytest.raises(ValueError, match="layout"):
             ActivationDGM(5, TINY, np.random.default_rng(0), LAYOUT)
+
+
+def moved_pair(kind):
+    """:func:`table_pair` with each table moved off its initial sums by a
+    random ``D``, and the dense twin's ``Wb`` moved to match: every row of
+    layer l's block by ``D[l]``."""
+    layout, dense, table, records = table_pair(kind)
+    rng = np.random.default_rng(89)
+    for name in STACKS:
+        d = 0.1 * rng.standard_normal(getattr(table, name).d.shape)
+        getattr(table, name).d.data[...] = d
+        getattr(dense, name).wb.data += np.repeat(d, layout.sizes, axis=0)
+    return layout, dense, table, records
+
+
+class TestTableBlockPaths:
+    """The table DGM, as ``train()`` and ``TrainedBundle.load`` build it,
+    under a block mask against its dense twin on the same mask without its
+    block index: the dense formulation."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
+    @pytest.mark.parametrize("sample", [False, True])
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_impute_matches_the_dense_twin(self, kind, mode, sample, prepared):
+        layout, dense, table, records = moved_pair(kind)
+        assert_impute_matches_dense(layout, table, records, mode, sample, prepared, twin=dense)
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
+    def test_elbo_matches_the_dense_twin(self, kind, mode):
+        layout, dense, table, records = moved_pair(kind)
+        for seed in range(2):
+            mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
+            assert (mask.block >= 0).any() and (mask.block < 0).any()
+            assert_elbo_matches_dense(table, records, mask, twin=dense)
