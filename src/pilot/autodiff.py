@@ -172,13 +172,13 @@ def as_tensor(value) -> Tensor:
 
 
 def _pair(a, b):
-    """Both operands as tensors; a non-``Tensor`` one takes the other's dtype."""
-    if not isinstance(a, Tensor):
-        b = as_tensor(b)
-        a = Tensor(np.asarray(a, dtype=b.data.dtype))
-    elif not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.data.dtype))
-    return a, b
+    """Both operands as tensors. When just one is a ``Tensor``, the other
+    takes its dtype; two non-``Tensor`` operands convert on their own."""
+    if isinstance(a, Tensor):
+        return (a, b) if isinstance(b, Tensor) else (a, Tensor(np.asarray(b, dtype=a.data.dtype)))
+    if isinstance(b, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return Tensor(a), Tensor(b)
 
 
 _counter = itertools.count()        # creation numbers of recorded nodes (_make)

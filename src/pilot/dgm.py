@@ -312,7 +312,8 @@ class _BlockInput:
         if stack.d is None:
             self.mask_sums = _layer_sums(stack.wb.data, layout)
         else:
-            self.mask_sums = ad.block_table(stack.s, stack.d, stack.sizes).data
+            with ad.no_grad():
+                self.mask_sums = ad.block_table(stack.s, stack.d, stack.sizes).data
         self.wz = None if stack.wz is None else stack.wz.data
         self.bias = stack.biases[0].data
 
@@ -348,7 +349,6 @@ class PreparedBatch:
         self.decoder = _BlockInput(dgm.decoder, a_std, layout)
         self.imputed = np.zeros(a_std.shape)
         self._written = []      # the blocks of the last imputation's mask
-        self._noise = None
 
     def imputation(self, blocks: list) -> np.ndarray:
         """The imputation array, zeroed where the last imputation wrote; the
@@ -358,13 +358,6 @@ class PreparedBatch:
             self.imputed[rows, cols] = 0.0
         self._written = blocks
         return self.imputed
-
-    def noise(self, rng) -> np.ndarray:
-        """``rng.standard_normal((batch, total))``, drawn into the batch's
-        noise array, which the first call makes."""
-        if self._noise is None:
-            self._noise = np.empty(self.imputed.shape)
-        return rng.standard_normal(out=self._noise)
 
 
 class ActivationDGM:
@@ -507,7 +500,7 @@ class ActivationDGM:
         here), or a fresh :meth:`condition`. A mask without a block index
         takes the dense path over every row and column. Both paths draw the
         same noise from ``rng``: a (batch, latent) draw, then a (batch,
-        total) one when sampling (:meth:`PreparedBatch.noise`).
+        total) one when sampling.
         """
         if sample is None:
             sample = self.config.impute_sample
@@ -533,8 +526,7 @@ class ActivationDGM:
                 h = self.prior_net.hidden_from_first(prepared.prior(rows, groups))
                 p = self._split(Tensor(self.prior_net.output_cols(h)))
                 z = reparam_sample(p, e[covered]).data
-        if sample:
-            noise = rng.standard_normal((n, total)) if prepared is None else prepared.noise(rng)
+        noise = rng.standard_normal((n, total)) if sample else None
         h = self.decoder.hidden_from_first(decoder(rows, groups, z))
         blocks = [(covered[g], mask.layout.layer_slice(layer)) for layer, g in groups]
         out = np.zeros((n, total)) if prepared is None else prepared.imputation(blocks)

@@ -379,6 +379,9 @@ class TestDtype:
         assert (x * np.ones(3)).data.dtype == np.float32
         assert ad.sub(np.ones(3), x).data.dtype == np.float32
         assert ad.matmul(np.ones((2, 3), bool), Tensor(np.ones((3, 1), np.float32))).data.dtype == np.float32
+        # two non-Tensor operands convert on their own, and numpy promotes
+        for a, b in ((np.ones(3), np.ones(3, np.float32)), (np.ones(3, np.float32), np.ones(3))):
+            assert ad.add(a, b).data.dtype == np.float64
 
     def test_accumulated_gradient_takes_the_leaf_dtype(self):
         # a float32 leaf feeding a float32 and a float64 op, in either order

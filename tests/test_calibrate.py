@@ -386,14 +386,10 @@ class TestMcReuse:
         reference = fresh_per_draw_reference(bundle, x, 5, np.random.default_rng(7), 8)
         assert preds.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("sample", [False, True], ids=["mean", "sampled"])
-    def test_later_draws_allocate_less_than_one_record(self, sample, monkeypatch):
+    def test_later_draws_allocate_less_than_one_record(self, monkeypatch):
         # Draws 2..n of a batch allocate no (batch, record)-sized array: the
-        # peak of each stays below one (B, R) float64 array. A sampled draw's
-        # decoder noise goes into the prepared batch's noise array, made on
-        # the batch's first draw.
+        # peak of each stays below one (B, R) float64 array.
         bundle, x = block_bundle("cnn", "a_aug")
-        bundle.dgm.config = dataclasses.replace(bundle.dgm.config, impute_sample=sample)
         x = np.concatenate([x] * 4)
         n, total = len(x), bundle.classifier.layout.total
         peaks, base, sample = [], [0], calibrate.sample_mask
