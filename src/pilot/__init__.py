@@ -10,15 +10,11 @@ Subpackages: ``autodiff`` (reverse-mode AD), ``optim`` (Adam, clipping),
 import os as _os
 import sys as _sys
 
-# Cap BLAS threads before numpy loads anywhere in the package; single-thread
-# mode is the reproducibility contract.
+# The variables that cap BLAS threads. The package caps nothing on import:
+# BLAS_CAPPED_AT_LOAD only records whether numpy, which loads below, loads
+# under a one-thread cap, as --deterministic asks.
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-_threads = _os.environ.get("PILOT_NUM_THREADS")
-if _threads and _threads.isdigit():
-    for _var in THREAD_ENV_VARS:
-        _os.environ.setdefault(_var, _threads)
-# True when numpy loads below under a one-thread cap, as --deterministic asks.
 BLAS_CAPPED_AT_LOAD = "numpy" not in _sys.modules and all(
     _os.environ.get(_var) == "1" for _var in THREAD_ENV_VARS[:3])
 

@@ -74,6 +74,9 @@ def set_nan_guard(enabled: bool) -> None:
 class Tensor:
     # _seq, the creation number, is set on recorded nodes only (_make)
     __slots__ = ("data", "grad", "requires_grad", "_op", "_parents", "_backward_fn", "_seq")
+    # An ndarray on the left of an operator defers to the reflected method,
+    # so the result is a graph node, not an object array of 0-d Tensors.
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, _op: str = "leaf", _parents=()):
         data = np.asarray(data)
@@ -154,6 +157,9 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)

@@ -1,12 +1,10 @@
 """Experiment orchestration commands: train, eval, compare.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure. The PILOT_NUM_THREADS environment variable caps kernel
-parallelism; the package applies it on import, before numpy loads.
---deterministic asks for one BLAS thread. The `pilot` command restarts
-itself under that cap when numpy loaded without it (``pilot.__main__``); a
-caller of :func:`main` gets it through OpenBLAS's own setter for the length
-of the command, or exit 1 where there is none.
+failure. --deterministic asks for one BLAS thread. The `pilot` command
+restarts itself under that cap when numpy loaded without it
+(``pilot.__main__``); a caller of :func:`main` gets it through OpenBLAS's
+own setter for the length of the command, or exit 1 where there is none.
 """
 
 from __future__ import annotations

@@ -78,11 +78,12 @@ class RecordLayout:
 class ActivationRecord:
     """Stacked raw pre-activations of one forward pass, a^0..a^L.
 
-    A no-graph splice of the whole record (``forward_spliced`` under
-    :func:`autodiff.no_grad`) writes the rows it recomputes or substitutes
-    into working copies of the record's layers, not into fresh copies of
-    them: the record makes a layer's copy on the first such write and keeps
-    it. The record's own layers are never written.
+    A no-graph splice of the whole record under a block mask
+    (``forward_spliced`` under :func:`autodiff.no_grad`) writes the rows it
+    recomputes or substitutes into working copies of the record's layers,
+    not into fresh copies of them: the record makes a layer's copy on the
+    first such write and keeps it. The record's own layers are never
+    written.
     """
 
     def __init__(self, layers, layout: RecordLayout):
@@ -90,19 +91,16 @@ class ActivationRecord:
         self.layout = layout
         self._work = {}     # layer -> (working copy, rows it differs from the record on)
 
-    def working(self, layer: int, rows: np.ndarray, whole: np.ndarray | None = None) -> np.ndarray:
-        """Layer ``layer``'s working copy for a splice that writes the rows
-        the boolean ``rows`` selects and rewrites in full the ones ``whole``
-        selects, a subset of them (default: all of them). It holds the record's
-        values on every row but the ``whole`` ones: rows the last splice
-        wrote are restored from the record first, unless they are among
-        ``whole``; the rest is left as it is."""
-        whole = rows if whole is None else whole
+    def working(self, layer: int, rows: np.ndarray) -> np.ndarray:
+        """Layer ``layer``'s working copy for a splice that rewrites in full
+        the rows the boolean ``rows`` selects. It holds the record's values
+        on every other row: rows the last splice wrote are restored from the
+        record first; the rest is left as it is."""
         if layer not in self._work:
             self._work[layer] = (self.layers[layer].data.copy(), rows.copy())
             return self._work[layer][0]
         work, written = self._work[layer]
-        stale = written & ~whole
+        stale = written & ~rows
         work[stale] = self.layers[layer].data[stale]
         written[:] = rows
         return work
@@ -302,50 +300,36 @@ class _ClassifierBase:
         the batch rows ``rows``, there. Layers before ``start`` are kept as
         they are. Returns the list of all layers.
 
-        With a graph, every row of every layer is recomputed and substituted.
-        Without one (under :func:`autodiff.no_grad`) the walk gives the same
-        values with less work. A layer's substitution touches only the rows
-        with masked positions in it; the others keep ``fresh``, which the
-        dense select would return as ``0 * substitute + 1 * fresh``. Under a
-        block mask such a row's whole layer is masked, so its substitute
-        replaces it with no select at all. And when ``record`` is whole, a
-        row-local stage recomputes only the rows whose input has left the
-        record, and keeps the record's rows, bit-identical to recomputed
-        ones, for the others. The start layer and the row-local layers are
-        then written in the record's working copies
+        The walk recomputes every row and selects between substituted and
+        fresh values position by position. Without a graph (under
+        :func:`autodiff.no_grad`), with a block mask and a whole ``record``
+        it takes a rowwise route to the same values: a block mask replaces
+        a masked row's whole layer, so only the masked rows are substituted,
+        with no select, and a row-local stage recomputes only the rows whose
+        input has left the record, keeping the record's rows, bit-identical
+        to recomputed ones, for the others. That route writes the start
+        layer and the row-local layers in the record's working copies
         (:meth:`ActivationRecord.working`): the layers returned alias those
-        copies until the next such walk.
+        copies until the next rowwise walk of ``record``.
         """
-        graph = ad.grad_enabled()
-        reuse = not graph and len(record.layers) == self.layout.n_layers
+        rowwise = (not ad.grad_enabled() and mask.block is not None
+                   and len(record.layers) == self.layout.n_layers)
         left = np.zeros(record.batch_size, dtype=bool)     # rows off the record so far
         walked = record.layers[:start]
         for l in range(start, self.layout.n_layers):
             rows = mask.masked_rows(l)
-            if l == start:
-                fresh = record.layers[start]
-            elif reuse and l in self.row_local_stages:
-                # a row masked here but not before keeps the record's values
-                # for a partial mask's select; a block mask replaces it whole
-                whole = left | rows if mask.block is not None else left
-                data = record.working(l, left | rows, whole)
-                data[left] = self._stage(l, Tensor(walked[-1].data[left])).data
+            if rowwise and (l == start or l in self.row_local_stages):
+                data = record.working(l, left | rows)
+                if left.any():
+                    data[left] = self._stage(l, Tensor(walked[-1].data[left])).data
                 fresh = Tensor(data)
             else:
-                fresh = self._stage(l, walked[-1])
-            if graph and rows.any():
+                fresh = record.layers[l] if l == start else self._stage(l, walked[-1])
+            if rowwise and rows.any():
+                fresh.data[rows] = substitute(l, Tensor(fresh.data[rows]), rows).data
+            elif rows.any():
                 fresh = ad.where(mask.layer(l).reshape(fresh.shape),
                                  substitute(l, fresh, slice(None)), fresh)
-            elif rows.any():
-                part = Tensor(fresh.data[rows])
-                value = substitute(l, part, rows)
-                if mask.block is None:
-                    value = ad.where(mask.layer(l)[rows].reshape(part.shape), value, part)
-                data = fresh.data
-                if l == start:
-                    data = record.working(l, rows) if reuse else data.copy()
-                data[rows] = value.data
-                fresh = Tensor(data)
             left |= rows
             walked.append(fresh)
         return walked
@@ -357,13 +341,14 @@ class _ClassifierBase:
         layer, positions with mask 1 take the imputed pre-activation
         (always behind a stop-gradient barrier) and positions with mask 0
         take the freshly recomputed one. An empty mask reproduces the
-        recorded pass bit-exactly. Under :func:`autodiff.no_grad` only the
-        rows a mask has touched are substituted, and the convolution stages
-        recompute only those rows and keep the record's rows for the others;
-        the logits are the same. The returned record's layers may then
-        alias ``record``'s working copies, valid until the next no-graph
-        splice of ``record`` (see ``_resume``). With a graph every row is
-        recomputed, so that gradient flows through the fresh pass as before.
+        recorded pass bit-exactly. Under :func:`autodiff.no_grad` a block
+        mask (``x_aug``, ``a_aug``) substitutes only the rows it has touched,
+        and the convolution stages recompute only those rows and keep the
+        record's rows for the others; the logits are the same. The returned
+        record's layers may then alias ``record``'s working copies, valid
+        until the next such splice of ``record`` (see ``_resume``). Any other
+        splice recomputes every row and aliases nothing of ``record`` from
+        the first masked layer on.
         """
         if self.spec.batch_norm:
             raise NotImplementedError("splicing through batch-norm classifiers is unsupported")

@@ -393,6 +393,29 @@ class TestDtype:
             np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
 
 
+LEFT_NDARRAY_CASES = {
+    # op, right operand's shape, d sum(op(a, y)) / dy
+    "+": (lambda a, y: a + y, (2, 3), lambda a, y: np.ones_like(y)),
+    "-": (lambda a, y: a - y, (2, 3), lambda a, y: -np.ones_like(y)),
+    "*": (lambda a, y: a * y, (2, 3), lambda a, y: a),
+    "/": (lambda a, y: a / y, (2, 3), lambda a, y: -a / y ** 2),
+    "@": (lambda a, y: a @ y, (3, 4), lambda a, y: a.T @ np.ones((2, 4))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(LEFT_NDARRAY_CASES))
+def test_ndarray_left_operand_gives_a_graph_node(op):
+    fn, shape, grad = LEFT_NDARRAY_CASES[op]
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((2, 3))
+    y = _param(rng, *shape, positive=True)
+    out = fn(a, y)
+    assert isinstance(out, Tensor)
+    np.testing.assert_array_equal(out.data, fn(a, y.data))
+    out.sum().backward()
+    np.testing.assert_allclose(y.grad, grad(a, y.data), rtol=1e-12)
+
+
 class TestStopGradientContract:
     def test_forward_bit_identical(self):
         x = Tensor(np.random.default_rng(3).standard_normal((5, 5)))

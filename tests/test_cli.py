@@ -315,8 +315,7 @@ class TestDeterministicThreads:
         (tmp_path / "sitecustomize.py").write_text(THREAD_COUNT_HOOK)
         (tmp_path / "pilot").write_text(CONSOLE_SCRIPT)
         entry = ["-m", "pilot"] if entry == "module" else [str(tmp_path / "pilot")]
-        env = {k: v for k, v in os.environ.items()
-               if k not in THREAD_ENV_VARS + ("PILOT_NUM_THREADS",)}
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_ENV_VARS}
         env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), SRC])
         cfg = write_config(tmp_path, epochs=1)
         run = subprocess.run([sys.executable, *entry, "train", "--config", str(cfg),

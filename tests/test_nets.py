@@ -197,8 +197,11 @@ class TestForwardSpliced:
 
 
 class TestInferenceSplice:
-    """Without a graph the walk substitutes only masked rows and the conv
-    stages recompute only rows off the record; the bits must not change."""
+    """Without a graph, under a block mask and from a whole record, the walk
+    substitutes only masked rows and the conv stages recompute only rows off
+    the record, in the record's working copies; any other splice selects
+    over every row and never reads a working copy. The bits must not
+    change."""
 
     @staticmethod
     def _world(spec_fn, batch=13, seed=60):
@@ -227,17 +230,22 @@ class TestInferenceSplice:
         *[(spec_fn, mode, 0.5) for spec_fn in (mlp_spec, cnn_spec)
           for mode in ("x_aug", "a_aug", "a_drop")],
         (cnn_spec, "a_drop", 0.01),
+        (cnn_spec, "a_aug+a_drop", 0.5),     # the modes in turn
     ])
     def test_consecutive_splices_of_one_record_match_fresh_records(self, spec_fn, mode, rate):
-        # Without a graph a record's splices write into its working layers;
-        # each must equal a splice of a fresh record, and the record's own
-        # layers must stay as recorded. At a low rate an a_drop row can keep
-        # layer 0 and be masked at a conv layer: its unmasked positions there
-        # must be the record's, not what the last splice wrote.
+        # Without a graph a record's block-mask splices write into its
+        # working layers; each must equal a splice of a fresh record, and the
+        # record's own layers must stay as recorded. A drop mask never reads
+        # a working copy: at a low rate an a_drop row can keep layer 0 and be
+        # masked at a conv layer, and its unmasked positions there must be
+        # the record's. A drop-mask splice between two block-mask ones must
+        # neither read nor disturb the working layers.
         clf, x, record, imputed = self._world(spec_fn)
         recorded = [t.data.tobytes() for t in record.layers]
+        modes = mode.split("+")
         for seed in range(4):
-            mask = sample_mask(mode, rate, clf.layout, 13, np.random.default_rng(seed))
+            mask = sample_mask(modes[seed % len(modes)], rate, clf.layout, 13,
+                               np.random.default_rng(seed))
             if rate < 0.5:
                 assert (~mask.masked_rows(0) & (mask.masked_rows(1) | mask.masked_rows(2))).any()
             values = imputed * (seed + 1.0)
