@@ -371,43 +371,29 @@ def grouped_linear(h, w, b, groups) -> Tensor:
     Each group is a pair ``(rows, cols)``: row indices into ``h`` and a
     slice of output columns; no two groups share a row or a column. Its
     values are ``h[rows] @ w[:, cols] + b[cols]``, raveled; the output is
-    every group's values, concatenated in order into one 1-D tensor.
-    ``w=None`` stands for the identity: ``h[rows, cols] + b[cols]``. Since
+    every group's values, concatenated in order into one 1-D tensor. Since
     the groups are disjoint, backward writes each group's part of every
     gradient in place.
     """
-    h, b = as_tensor(h), as_tensor(b)
-    w = None if w is None else as_tensor(w)
-    shapes = (h.shape, b.shape) if w is None else (h.shape, w.shape, b.shape)
-    if h.ndim != 2 or (w is not None and (w.ndim != 2 or w.shape[0] != h.shape[1])):
-        raise ShapeError("grouped_linear", *shapes)
-    width = (h if w is None else w).shape[1]
-    if b.shape != (width,):
-        raise ShapeError("grouped_linear", *shapes)
-    parents = (h, b) if w is None else (h, w, b)
-    sizes = [len(rows) * len(range(width)[cols]) for rows, cols in groups]
+    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
+    if h.ndim != 2 or w.ndim != 2 or w.shape[0] != h.shape[1] or b.shape != w.shape[1:]:
+        raise ShapeError("grouped_linear", h.shape, w.shape, b.shape)
+    sizes = [len(rows) * len(range(w.shape[1])[cols]) for rows, cols in groups]
     bounds = np.cumsum([0, *sizes])
-    data = np.empty(bounds[-1], dtype=np.result_type(*(t.data for t in parents)))
+    data = np.empty(bounds[-1], dtype=np.result_type(h.data, w.data, b.data))
     for (rows, cols), start, stop in zip(groups, bounds, bounds[1:]):
         out = data[start:stop].reshape(len(rows), -1)
-        if w is None:
-            np.add(h.data[rows, cols], b.data[cols], out=out)
-        else:
-            np.matmul(h.data[rows], w.data[:, cols], out=out)
-            out += b.data[cols]
+        np.matmul(h.data[rows], w.data[:, cols], out=out)
+        out += b.data[cols]
 
     def backward(g):
         dh = np.zeros_like(h.data) if h.requires_grad else None
-        dw = np.zeros_like(w.data) if w is not None and w.requires_grad else None
+        dw = np.zeros_like(w.data) if w.requires_grad else None
         db = np.zeros_like(b.data) if b.requires_grad else None
         for (rows, cols), start, stop in zip(groups, bounds, bounds[1:]):
             gr = g[start:stop].reshape(len(rows), -1)
             if db is not None:
                 np.sum(gr, axis=0, out=db[cols])
-            if w is None:
-                if dh is not None:
-                    dh[rows, cols] = gr
-                continue
             if dw is not None:
                 np.matmul(h.data[rows].T, gr, out=dw[:, cols])
             if dh is not None:
@@ -416,7 +402,7 @@ def grouped_linear(h, w, b, groups) -> Tensor:
             if d is not None:
                 _accumulate(t, d, fresh=True)
 
-    return _make(data, "grouped_linear", parents, backward)
+    return _make(data, "grouped_linear", (h, w, b), backward)
 
 
 # Rows of a batch per im2col block: the patch matrices of one block are all a

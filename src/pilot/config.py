@@ -86,7 +86,7 @@ SCHEMA = {
                         "TrainConfig.mask_seed"),
     # DGM
     "dgm.latent_dim": Option("int", 64, "latent dimension", "DGMConfig.latent_dim"),
-    "dgm.hidden": Option("ints", (256, 256), "DGM MLP hidden widths", "DGMConfig.hidden"),
+    "dgm.hidden": Option("ints", (256, 256), "DGM MLP hidden widths, at least one", "DGMConfig.hidden"),
     "dgm.decoder_variance": Option("float", 0.1, "fixed decoder output variance",
                                    "DGMConfig.decoder_variance"),
     "dgm.hyperprior.sigma_mu": Option("float", 10.0, "hyperprior mean scale",

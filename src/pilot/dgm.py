@@ -49,6 +49,8 @@ class DGMConfig:
     impute_sample: bool = False         # sample the likelihood instead of its mean
 
     def __post_init__(self):
+        if not self.hidden:
+            raise ValueError(f"hidden must name at least one width, got {self.hidden}")
         require_positive(self, "latent_dim", "hidden", "decoder_variance", "n_z")
         if not 0.0 <= self.standardize_warmup <= 1.0:
             raise ValueError(f"standardize_warmup must lie in [0, 1], got {self.standardize_warmup}")
@@ -187,12 +189,15 @@ class RunningStandardizer:
 
 
 class _DenseStack:
-    """Plain relu MLP on ``[x, b]`` (``[x, b, z]`` with a latent input); final
-    layer linear with damped init for stable heads. The first layer's weight
-    is drawn as one stream, row block by row block, and registered by block:
-    ``<prefix>.0.Wa`` for ``x``, ``.0.Wb`` for ``b``, ``.0.Wz`` for ``z``.
-    Later ones are ``weights``, ``<prefix>.<i>.W``; each layer's bias is
-    ``<prefix>.<i>.b``.
+    """Plain relu MLP on ``[x, b]`` (``[x, b, z]`` with a latent input), with
+    at least one hidden layer; final layer linear with damped init for stable
+    heads. It has one walk, :meth:`first` then :meth:`from_first`, with a
+    graph or under ``no_grad``; under a block mask, imputation builds the
+    first's output by record block instead (:class:`_BlockInput`). The first
+    layer's weight is drawn as one stream, row block by row block, and
+    registered by block: ``<prefix>.0.Wa`` for ``x``, ``.0.Wb`` for ``b``,
+    ``.0.Wz`` for ``z``. Later ones are ``weights``, ``<prefix>.<i>.W``;
+    each layer's bias is ``<prefix>.<i>.b``.
 
     Given the record ``layout``, the stack takes block masks alone and keeps
     ``Wb`` as a table, one row per layer (:func:`autodiff.block_table`): the
@@ -246,41 +251,27 @@ class _DenseStack:
         h = ad.matmul(x, self.wa) + b_wb
         return h if z is None else h + ad.matmul(z, self.wz)
 
+    def from_first(self, h, groups=None) -> Tensor:
+        """The stack from :meth:`first`'s pre-activation ``h`` on: the first
+        layer's bias, relu and matmul through each hidden layer, then the
+        output layer. With ``groups``, ``(rows, cols)`` pairs such as
+        :func:`block_groups` gives, only the output positions they name, as
+        :func:`autodiff.grouped_linear`'s 1-D tensor."""
+        *hidden, out = self.weights
+        for w, b in zip(hidden, self.biases):
+            h = ad.matmul(ad.relu(h + b), w)
+        h = ad.relu(h + self.biases[-2])
+        if groups is not None:
+            return ad.grouped_linear(h, out, self.biases[-1], groups)
+        return ad.matmul(h, out) + self.biases[-1]
+
     def __call__(self, x: np.ndarray, mask: Mask, z: Tensor | None = None, groups=None) -> Tensor:
         """The stack on the input ``[x, mask.values, z]`` (no ``z``:
-        ``[x, mask.values]``). With ``groups`` (:func:`block_groups`), only
-        the output positions they name, as :func:`autodiff.grouped_linear`'s
-        1-D tensor."""
-        h = self.first(x, mask, z)
-        for i, w in enumerate(self.weights):
-            h = ad.relu(h + self.biases[i])
-            if groups is not None and i == len(self.weights) - 1:
-                return ad.grouped_linear(h, w, self.biases[-1], groups)
-            h = ad.matmul(h, w)
-        if groups is not None:      # the first layer is the output layer
-            return ad.grouped_linear(h, None, self.biases[-1], groups)
-        return h + self.biases[-1]
+        ``[x, mask.values]``); ``groups`` as in :meth:`from_first`."""
+        return self.from_first(self.first(x, mask, z), groups)
 
     def parameters(self):
         return [t for t in (self.wa, self.wb, self.wz, *self.weights, *self.biases) if t is not None]
-
-    # Without a graph, from the first layer's pre-activation on: the rows
-    # under a block mask (see ``_BlockInput``). Imputation walks the stack
-    # with these rather than with ``__call__`` under ``no_grad``: there the
-    # graph ops' wrappers took about 90 us of a 4.8 ms step at the
-    # benchmark's blobs shapes (one BLAS thread).
-
-    def hidden_from_first(self, h: np.ndarray) -> np.ndarray:
-        """The pre-activation the output layer takes, from the first layer's."""
-        for w, b in zip(self.weights[:-1], self.biases[1:-1]):
-            h = np.maximum(h, 0.0) @ w.data + b.data
-        return h
-
-    def output_cols(self, h: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """The output columns ``cols`` from :meth:`hidden_from_first`'s ``h``."""
-        if not self.weights:        # h is the output layer's own
-            return h[:, cols]
-        return np.maximum(h, 0.0) @ self.weights[-1].data[:, cols] + self.biases[-1].data[cols]
 
 
 def _layer_sums(w: np.ndarray, layout) -> np.ndarray:
@@ -300,10 +291,12 @@ class _BlockInput:
     The stack's input is ``[a_std * (1 - b), b, extra]``. For a row that
     masks layer l, the first layer is the sum over every other layer k of
     ``a_std[:, k] @ Wa[k]``, plus the rows of ``Wb`` summed over layer l
-    (:func:`_layer_sums`, or a table stack's table), plus ``extra @ Wz`` and
-    the bias. The products are computed once for ``a_std``'s rows. The
-    masked layer's own product is left out of the sum, not subtracted from a
-    total, so no masked value reaches the result, not even at roundoff.
+    (:func:`_layer_sums`, or a table stack's table), plus ``extra @ Wz``:
+    :meth:`_DenseStack.first`'s pre-activation, to which
+    :meth:`_DenseStack.from_first` adds the bias. The products are computed
+    once for ``a_std``'s rows. The masked layer's own product is left out of
+    the sum, not subtracted from a total, so no masked value reaches the
+    result, not even at roundoff.
     """
 
     def __init__(self, stack: _DenseStack, a_std: np.ndarray, layout):
@@ -315,19 +308,18 @@ class _BlockInput:
             with ad.no_grad():
                 self.mask_sums = ad.block_table(stack.s, stack.d, stack.sizes).data
         self.wz = None if stack.wz is None else stack.wz.data
-        self.bias = stack.biases[0].data
 
     def __call__(self, rows: np.ndarray, groups, extra: np.ndarray | None = None) -> np.ndarray:
-        """First-layer pre-activation of ``rows`` (indices into ``a_std``).
-        ``groups`` holds a ``(layer, g)`` pair per masked layer: ``rows[g]``
-        are the rows that mask it."""
-        h = np.empty((len(rows), len(self.bias)))
+        """First-layer pre-activation of ``rows`` (indices into ``a_std``),
+        bias not yet added. ``groups`` holds a ``(layer, g)`` pair per masked
+        layer: ``rows[g]`` are the rows that mask it."""
+        h = np.empty((len(rows), self.mask_sums.shape[1]))
         for layer, g in groups:
             others = [p[rows[g]] for k, p in enumerate(self.products) if k != layer]
             h[g] = sum(others[1:], others[0]) + self.mask_sums[layer]
         if extra is not None:
             h += extra @ self.wz
-        return h + self.bias
+        return h
 
 
 class PreparedBatch:
@@ -488,8 +480,11 @@ class ActivationDGM:
 
         A block mask (one that carries ``mask.block``) runs the decoder only
         on rows that mask a layer, builds each row's first layer from the
-        unmasked layers' block products (:class:`_BlockInput`), and computes
-        only the masked layer's columns. ``prepared`` is the
+        unmasked layers' block products (:class:`_BlockInput`), and walks the
+        rest of the stack with :meth:`_DenseStack.from_first` under
+        ``no_grad``, computing only the masked layer's columns (one
+        :func:`autodiff.grouped_linear` vector, cut per block before
+        de-standardising). Neither path records a graph. ``prepared`` is the
         :class:`PreparedBatch` of this batch of records: with it the prior
         also runs on the masked rows alone, from the prepared products, and
         the result is ``prepared``'s own array, rewritten only on the blocks
@@ -511,6 +506,7 @@ class ActivationDGM:
         block = mask.block[covered]
         groups = [(layer, g) for layer in range(mask.layout.n_layers)
                   if len(g := np.flatnonzero(block == layer))]
+        cuts = [(g, mask.layout.layer_slice(layer)) for layer, g in groups]
         with ad.no_grad():
             if prepared is None:
                 a_std, _, p = self.condition(a_flat, mask) if prior is None else prior
@@ -523,18 +519,18 @@ class ActivationDGM:
                     raise ValueError(f"prepared batch has {len(prepared.imputed)} rows, mask has {n}")
                 e = rng.standard_normal((n, dz))
                 decoder, rows = prepared.decoder, covered
-                h = self.prior_net.hidden_from_first(prepared.prior(rows, groups))
-                p = self._split(Tensor(self.prior_net.output_cols(h)))
+                p = self._split(self.prior_net.from_first(prepared.prior(rows, groups)))
                 z = reparam_sample(p, e[covered]).data
+            mean = self.decoder.from_first(decoder(rows, groups, z), cuts).data
         noise = rng.standard_normal((n, total)) if sample else None
-        h = self.decoder.hidden_from_first(decoder(rows, groups, z))
-        blocks = [(covered[g], mask.layout.layer_slice(layer)) for layer, g in groups]
+        blocks = [(covered[g], c) for g, c in cuts]
         out = np.zeros((n, total)) if prepared is None else prepared.imputation(blocks)
-        for (_, g), (rows_out, cols) in zip(groups, blocks):
-            mean = self.decoder.output_cols(h[g], cols)
+        ends = np.cumsum([len(g) * mask.layout.sizes[layer] for layer, g in groups])
+        for (rows_out, c), values in zip(blocks, np.split(mean, ends[:-1])):
+            values = values.reshape(len(rows_out), -1)
             if sample:
-                mean = mean + noise[rows_out, cols] * np.sqrt(self.config.decoder_variance)
-            out[rows_out, cols] = self.standardizer.untransform(mean, cols)
+                values = values + noise[rows_out, c] * np.sqrt(self.config.decoder_variance)
+            out[rows_out, c] = self.standardizer.untransform(values, c)
         return out
 
     def _impute_dense(self, a_flat, mask: Mask, rng, sample: bool, prior) -> np.ndarray:

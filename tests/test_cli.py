@@ -91,6 +91,7 @@ class TestTrainCommand:
         ("mask.mode=a_aug\nmask.rate=1.5", "1.5"),
         ("model.hidden=0", "hidden must be positive"),
         ("dgm.hidden=0", "hidden must be positive"),
+        ("dgm.hidden=", "hidden"),
         ("dgm.latent_dim=0", "latent_dim must be positive"),
         ("train.lr=0", "lr_classifier must be positive"),
         ("train.dgm_lr=-1", "lr_dgm must be positive"),

@@ -481,7 +481,8 @@ class TestBlockImpute:
             assert out.tobytes() == fresh.tobytes()
 
     def test_one_layer_stacks_match_dense_path(self):
-        layout, model, records = block_world("cnn", hidden=())
+        # hidden=(5,), the shallowest stack: the output layer follows the first
+        layout, model, records = block_world("cnn", hidden=(5,))
         mask = sample_mask("a_aug", 0.7, layout, len(records), np.random.default_rng(4))
         dense = model.impute(records, dense_copy(mask), np.random.default_rng(5))
         for extra in ({}, {"prepared": PreparedBatch(model, records, layout)}):
@@ -495,6 +496,30 @@ class TestBlockImpute:
         a = model.impute(records, mask, np.random.default_rng(7), prior=shared)
         b = model.impute(records, mask, np.random.default_rng(7))
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("route", ["dense", "prior", "prepared"])
+    def test_imputation_records_no_graph(self, route):
+        # With gradients on, as in a training step: imputation walks the
+        # stacks' own graph ops, but records no node, leaves every gradient
+        # as it was and does not extend the shared prior's graph.
+        layout, model, records = block_world("mlp")
+        mask = sample_mask("a_aug", 0.6, layout, len(records), np.random.default_rng(11))
+        if route == "dense":
+            mask = dense_copy(mask)
+        model.lambda_elbo(records, mask, np.random.default_rng(12))[0].backward()
+        grads = [p.grad.copy() for p in model.parameters()]
+        shared = model.condition(records, mask)
+        nodes = ad._topo_order(shared[2].mean) + ad._topo_order(shared[2].logvar)
+        graph = [(node, node._parents, node.grad) for node in nodes]
+        extra = ({"prepared": PreparedBatch(model, records, layout)} if route == "prepared"
+                 else {"prior": shared})
+        seq = next(ad._counter)
+        model.impute(records, mask, np.random.default_rng(13), **extra)
+        assert next(ad._counter) == seq + 1
+        for p, g in zip(model.parameters(), grads):
+            assert p.grad.tobytes() == g.tobytes()
+        assert nodes and all(node._parents is parents and node.grad is grad
+                             for node, parents, grad in graph)
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
@@ -584,8 +609,8 @@ class TestBlockElbo:
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     def test_one_layer_stacks_match_dense_path(self, kind):
-        # hidden=(): the decoder's first layer is its output layer
-        layout, model, records = block_world(kind, hidden=())
+        # hidden=(5,), the shallowest stack: the output layer follows the first
+        layout, model, records = block_world(kind, hidden=(5,))
         mask = sample_mask("a_aug", 0.7, layout, len(records), np.random.default_rng(3))
         assert_elbo_matches_dense(model, records, mask)
 
