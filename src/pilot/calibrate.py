@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import save_tensors
 from .dgm import PreparedBatch
-from .masks import BLOCK_MODES, sample_mask
+from .masks import sample_mask
 from .nets import READ_BATCH, require_positive
 from . import autodiff as ad
 
@@ -215,16 +215,16 @@ def mc_predict(bundle, x, n_samples: int, mode: str, rng) -> np.ndarray:
 
 def _mc_batch(bundle, xb, n_samples: int, mode: str, rng) -> np.ndarray:
     """``mc_predict`` on one batch. A ``pilot_mc`` batch records its pass
-    once and, under a block mask, prepares its imputations once
-    (:class:`dgm.PreparedBatch`). Every draw reuses both and the arrays
-    they own, so no draw after the first allocates an array of the
-    batch's record size. All of it is freed before the next batch is
+    once and, with a DGM built with the record layout, prepares its
+    imputations once (:class:`dgm.PreparedBatch`). Every draw reuses both
+    and the arrays they own, so no draw after the first allocates an array
+    of the batch's record size. All of it is freed before the next batch is
     recorded."""
     cfg, clf = bundle.train_config, bundle.classifier
     if mode == "pilot_mc":
         _, record = clf.forward_record(xb)
-        if cfg.mask_mode in BLOCK_MODES:    # the draws read the prepared batch alone
-            a_flat, prepared = None, PreparedBatch(bundle.dgm, record.flatten(), clf.layout)
+        if bundle.dgm.layout is not None:   # the draws read the prepared batch alone
+            a_flat, prepared = None, PreparedBatch(bundle.dgm, record.flatten())
         else:
             a_flat, prepared = record.flatten(), None
     acc = np.zeros((len(xb), clf.spec.num_classes))

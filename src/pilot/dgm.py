@@ -192,7 +192,7 @@ class _DenseStack:
     """Plain relu MLP on ``[x, b]`` (``[x, b, z]`` with a latent input), with
     at least one hidden layer; final layer linear with damped init for stable
     heads. It has one walk, :meth:`first` then :meth:`from_first`, with a
-    graph or under ``no_grad``; under a block mask, imputation builds the
+    graph or under ``no_grad``; a table stack's imputation builds the
     first's output by record block instead (:class:`_BlockInput`). The first
     layer's weight is drawn as one stream, row block by row block, and
     registered by block: ``<prefix>.0.Wa`` for ``x``, ``.0.Wb`` for ``b``,
@@ -274,39 +274,30 @@ class _DenseStack:
         return [t for t in (self.wa, self.wb, self.wz, *self.weights, *self.biases) if t is not None]
 
 
-def _layer_sums(w: np.ndarray, layout) -> np.ndarray:
-    """``w``'s rows summed over each layer of ``layout``: (layers, width)."""
-    return np.array([w[layout.layer_slice(k)].sum(axis=0) for k in range(layout.n_layers)])
-
-
 def _observed(a_std: np.ndarray, mask: Mask) -> np.ndarray:
     """The record the prior and the decoder see: masked positions zero-filled."""
     return np.asarray(a_std) * (1.0 - mask.values)
 
 
 class _BlockInput:
-    """A stack's first layer, by record block, for rows that each mask one
-    whole layer.
+    """A table stack's first layer, by record block, for rows that each mask
+    one whole layer.
 
     The stack's input is ``[a_std * (1 - b), b, extra]``. For a row that
     masks layer l, the first layer is the sum over every other layer k of
-    ``a_std[:, k] @ Wa[k]``, plus the rows of ``Wb`` summed over layer l
-    (:func:`_layer_sums`, or a table stack's table), plus ``extra @ Wz``:
-    :meth:`_DenseStack.first`'s pre-activation, to which
-    :meth:`_DenseStack.from_first` adds the bias. The products are computed
-    once for ``a_std``'s rows. The masked layer's own product is left out of
-    the sum, not subtracted from a total, so no masked value reaches the
-    result, not even at roundoff.
+    ``a_std[:, k] @ Wa[k]``, plus layer l's row of the stack's mask weight
+    table, plus ``extra @ Wz``: :meth:`_DenseStack.first`'s pre-activation,
+    to which :meth:`_DenseStack.from_first` adds the bias. The products are
+    computed once for ``a_std``'s rows. The masked layer's own product is
+    left out of the sum, not subtracted from a total, so no masked value
+    reaches the result, not even at roundoff.
     """
 
     def __init__(self, stack: _DenseStack, a_std: np.ndarray, layout):
         layers = [layout.layer_slice(k) for k in range(layout.n_layers)]
         self.products = [a_std[:, sl] @ stack.wa.data[sl] for sl in layers]
-        if stack.d is None:
-            self.mask_sums = _layer_sums(stack.wb.data, layout)
-        else:
-            with ad.no_grad():
-                self.mask_sums = ad.block_table(stack.s, stack.d, stack.sizes).data
+        with ad.no_grad():
+            self.mask_sums = ad.block_table(stack.s, stack.d, stack.sizes).data
         self.wz = None if stack.wz is None else stack.wz.data
 
     def __call__(self, rows: np.ndarray, groups, extra: np.ndarray | None = None) -> np.ndarray:
@@ -327,7 +318,8 @@ class PreparedBatch:
     masks: the block products of the prior's and the decoder's first
     layers, from the standardised record, which it does not keep. No mask
     goes into it, so it is built once per batch and passed to every draw's
-    :meth:`ActivationDGM.impute` as ``prepared=``.
+    :meth:`ActivationDGM.impute` as ``prepared=``. Only a DGM built with the
+    record layout imputes by block; one without it raises ``ValueError``.
 
     It also owns the (batch, total) array those imputations return. Each
     one zeroes the blocks the one before wrote and writes its own, so the
@@ -335,10 +327,12 @@ class PreparedBatch:
     ``impute`` with this batch.
     """
 
-    def __init__(self, dgm: "ActivationDGM", a_flat: np.ndarray, layout):
+    def __init__(self, dgm: "ActivationDGM", a_flat: np.ndarray):
+        if dgm.layout is None:
+            raise ValueError("a prepared batch needs a DGM built with the record layout")
         a_std = dgm.standardizer.transform(np.asarray(a_flat))
-        self.prior = _BlockInput(dgm.prior_net, a_std, layout)
-        self.decoder = _BlockInput(dgm.decoder, a_std, layout)
+        self.prior = _BlockInput(dgm.prior_net, a_std, dgm.layout)
+        self.decoder = _BlockInput(dgm.decoder, a_std, dgm.layout)
         self.imputed = np.zeros(a_std.shape)
         self._written = []      # the blocks of the last imputation's mask
 
@@ -357,9 +351,11 @@ class ActivationDGM:
 
     Given the record ``layout``, the DGM is built for block masks
     (:data:`masks.BLOCK_MODES`) alone: each stack keeps its mask weights as
-    a per-layer table (:class:`_DenseStack`), and a mask without a block
-    index raises ``ValueError``. Its optimiser takes ``registry.row_counts()``
-    as ``Adam``'s ``rows``, so that the clip norm is the dense weight's.
+    a per-layer table (:class:`_DenseStack`), the DGM imputes by block, and
+    a mask without a block index raises ``ValueError``. Its optimiser takes
+    ``registry.row_counts()`` as ``Adam``'s ``rows``, so that the clip norm
+    is the dense weight's. Without the layout, it imputes densely under any
+    mask.
     """
 
     def __init__(self, record_dim: int, config: DGMConfig, rng, layout=None):
@@ -403,15 +399,6 @@ class ActivationDGM:
         a_std = self.standardizer.transform(np.asarray(a_flat))
         observed = _observed(a_std, mask)
         return a_std, observed, self.prior(a_std, mask, observed)
-
-    def decode_mean(self, a_std: np.ndarray, mask: Mask, z: Tensor, groups=None) -> Tensor:
-        """The decoder's mean given ``z``: (batch, total) for a dense mask.
-        Under a block mask only the masked positions are computed, as
-        :func:`autodiff.grouped_linear`'s 1-D tensor over ``groups``
-        (default: :func:`block_groups` of ``mask``)."""
-        if mask.block is not None and groups is None:
-            groups = block_groups(mask)
-        return self.decoder(_observed(a_std, mask), mask, z, groups)
 
     # -- objectives --------------------------------------------------------------
 
@@ -478,28 +465,29 @@ class ActivationDGM:
         elsewhere: the decoder mean by default; ``sample=True`` adds
         decoder-variance noise; ``None`` follows ``config.impute_sample``.
 
-        A block mask (one that carries ``mask.block``) runs the decoder only
-        on rows that mask a layer, builds each row's first layer from the
-        unmasked layers' block products (:class:`_BlockInput`), and walks the
-        rest of the stack with :meth:`_DenseStack.from_first` under
-        ``no_grad``, computing only the masked layer's columns (one
+        A DGM built with the record layout takes the block route, under the
+        block masks it alone accepts: it runs the decoder only on rows that
+        mask a layer, builds each row's first layer from the unmasked layers'
+        block products (:class:`_BlockInput`), and walks the rest of the
+        stack with :meth:`_DenseStack.from_first` under ``no_grad``,
+        computing only the masked layer's columns (one
         :func:`autodiff.grouped_linear` vector, cut per block before
-        de-standardising). Neither path records a graph. ``prepared`` is the
-        :class:`PreparedBatch` of this batch of records: with it the prior
-        also runs on the masked rows alone, from the prepared products, and
-        the result is ``prepared``'s own array, rewritten only on the blocks
-        this mask and the last one cover: it is valid until the next
-        ``impute`` with ``prepared``. ``a_flat`` is then not read, and may
-        be ``None``. Without it the prior is ``prior``, :meth:`condition`'s
-        triple for this record and mask (none of its graph is extended
-        here), or a fresh :meth:`condition`. A mask without a block index
-        takes the dense path over every row and column. Both paths draw the
-        same noise from ``rng``: a (batch, latent) draw, then a (batch,
-        total) one when sampling.
+        de-standardising). A DGM built without it takes the dense path over
+        every row and column, under every mask. Neither path records a
+        graph. ``prepared`` is the :class:`PreparedBatch` of this batch of
+        records: with it the prior also runs on the masked rows alone, from
+        the prepared products, and the result is ``prepared``'s own array,
+        rewritten only on the blocks this mask and the last one cover: it is
+        valid until the next ``impute`` with ``prepared``. ``a_flat`` is then
+        not read, and may be ``None``. Without it the prior is ``prior``,
+        :meth:`condition`'s triple for this record and mask (none of its
+        graph is extended here), or a fresh :meth:`condition`. Both paths
+        draw the same noise from ``rng``: a (batch, latent) draw, then a
+        (batch, total) one when sampling.
         """
         if sample is None:
             sample = self.config.impute_sample
-        if mask.block is None:
+        if self.layout is None or mask.block is None:
             return self._impute_dense(a_flat, mask, rng, sample, prior)
         n, dz, total = len(mask.block), self.config.latent_dim, self.record_dim
         covered = np.flatnonzero(mask.block >= 0)
@@ -568,6 +556,7 @@ class ActivationDGM:
                 arrays.update(zip(names, np.split(w, cuts)))
             if self.layout is not None and np.shape(arrays.get(f"{stack}.0.Wb"))[:1] == (r,):
                 wb = arrays.pop(f"{stack}.0.Wb")
-                arrays[f"{stack}.0.S"] = _layer_sums(wb, self.layout)
+                arrays[f"{stack}.0.S"] = np.array([wb[self.layout.layer_slice(k)].sum(axis=0)
+                                                   for k in range(self.layout.n_layers)])
                 arrays[f"{stack}.0.D"] = np.zeros_like(arrays[f"{stack}.0.S"])
         return arrays

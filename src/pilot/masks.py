@@ -26,8 +26,10 @@ class Mask:
 
     ``block`` is set for block masks (``x_aug``, ``a_aug`` and
     :func:`empty_mask`): per row, the one layer masked whole, or -1 for a
-    row with nothing masked. Imputation and splicing use it to compute only
-    where the mask is; a mask without it takes the dense paths.
+    row with nothing masked. Splicing uses it to compute only where the
+    mask is, and so does imputation with a DGM built with the record layout
+    (the table DGM). A mask without it takes the dense paths, and so does
+    imputation with a DGM built without the layout.
 
     ``values`` is the (batch, total) 0/1 float array. A block mask may be
     made with ``values=None``: the array is then built from ``block`` on its

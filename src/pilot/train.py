@@ -221,10 +221,12 @@ def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
 
     The recorded activations enter the DGM as constants and the imputations
     enter the classifier behind the stop-gradient barrier, so each backward
-    pass touches exactly one parameter group. The classifier's graph, and
-    the gradients its backward leaves on it, are let go before the DGM's
-    forward pass: only the record's values and the prior reach the ELBO.
+    pass touches exactly one parameter group. The last step's DGM
+    gradients are let go before the record pass, and the classifier's graph,
+    and the gradients its backward leaves on it, before the DGM's forward
+    pass: only the record's values and the prior reach the ELBO.
     """
+    opt_dgm.zero_grad()
     logits, record = classifier.forward_record(x)
     acc = float((logits.data.argmax(axis=1) == y).mean())
     a_flat = record.flatten()

@@ -363,7 +363,7 @@ def fresh_per_draw_reference(bundle, x, n_samples, rng, batch):
             acc = np.zeros((len(xb), clf.spec.num_classes))
             for _ in range(n_samples):
                 _, record = clf.forward_record(xb)
-                prepared = PreparedBatch(dgm, record.flatten(), clf.layout)
+                prepared = PreparedBatch(dgm, record.flatten())
                 mask = sample_mask(cfg.mask_mode, cfg.mask_rate, clf.layout, len(xb), rng)
                 imputed = dgm.impute(record.flatten(), mask, rng, prepared=prepared)
                 logits, _ = clf.forward_spliced(record, mask, imputed)

@@ -332,8 +332,10 @@ class TestElboAgainstImportanceSampling:
         kl = float(kl_diag(q, p).data.mean())
         pen = float(hyperprior_penalty(p, model.config.hyperprior).data.mean())
 
+        observed = records * (1.0 - mask.values)     # what the decoder sees
+
         def decoder_ll(z_batch):
-            mean = model.decode_mean(records, mask, Tensor(z_batch)).data
+            mean = model.decoder(observed, mask, Tensor(z_batch)).data
             resid = ((records - mean) ** 2) / var + np.log(2 * np.pi * var)
             return -0.5 * (mask.values * resid).sum(axis=1)
 
@@ -350,7 +352,7 @@ class TestElboAgainstImportanceSampling:
             rep = np.repeat(records[i : i + 1], n_is, axis=0)
             mask_rep = Mask(np.repeat(mask.values[i : i + 1], n_is, axis=0), "a_drop", 0.5, LAYOUT)
             z = mu_q[i] + np.exp(0.5 * lv_q[i]) * rng.standard_normal((n_is, mu_q.shape[1]))
-            mean = model.decode_mean(rep, mask_rep, Tensor(z)).data
+            mean = model.decoder(rep * (1.0 - mask_rep.values), mask_rep, Tensor(z)).data
             resid = ((rep - mean) ** 2) / var + np.log(2 * np.pi * var)
             ll = -0.5 * (mask_rep.values * resid).sum(axis=1)
             log_q = -0.5 * (((z - mu_q[i]) ** 2) / np.exp(lv_q[i]) + lv_q[i] + np.log(2 * np.pi)).sum(axis=1)
@@ -431,20 +433,19 @@ def block_world(kind, hidden=(16, 12), seed=40, n_z=1):
 
 
 def dense_copy(mask):
-    """The same mask without its block index: impute takes the dense path."""
+    """The same mask without its block index: the ELBO and imputation
+    take their dense paths."""
     return Mask(mask.values, mask.mode, mask.rate, mask.layout)
 
 
-def assert_impute_matches_dense(layout, model, records, mode, sample, prepared, twin=None):
-    """``model``'s imputations under block masks of ``mode`` against
-    ``twin``'s (default: ``model``'s) on the same masks without their block
-    index."""
-    twin = model if twin is None else twin
+def assert_impute_matches_dense(layout, model, twin, records, mode, sample, prepared):
+    """``model``'s imputations under block masks of ``mode`` against its
+    dense ``twin``'s on the same masks without their block index."""
     for seed in range(3):
         mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
         assert mask.block is not None and (mask.block >= 0).any()
         rng_block, rng_dense = np.random.default_rng(50 + seed), np.random.default_rng(50 + seed)
-        extra = {"prepared": PreparedBatch(model, records, layout)} if prepared else {}
+        extra = {"prepared": PreparedBatch(model, records)} if prepared else {}
         block = model.impute(records, mask, rng_block, sample=sample, **extra)
         dense = twin.impute(records, dense_copy(mask), rng_dense, sample=sample)
         on = mask.values > 0
@@ -455,42 +456,47 @@ def assert_impute_matches_dense(layout, model, records, mode, sample, prepared, 
 
 
 class TestBlockImpute:
+    """The block route of a table DGM at its initial draw, as ``train()``
+    builds it, against its dense twin (:func:`table_pair`) on the same mask
+    without its block index."""
+
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
     @pytest.mark.parametrize("sample", [False, True])
     @pytest.mark.parametrize("prepared", [False, True])
     def test_matches_dense_path(self, kind, mode, sample, prepared):
-        layout, model, records = block_world(kind)
-        assert_impute_matches_dense(layout, model, records, mode, sample, prepared)
+        layout, dense, table, records = table_pair(kind)
+        assert_impute_matches_dense(layout, table, dense, records, mode, sample, prepared)
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     @pytest.mark.parametrize("sample", [False, True])
     def test_reused_prepared_batch_matches_a_fresh_one(self, kind, sample):
         # Each imputation rewrites the prepared batch's one array: zero off
         # its own mask, whatever the last imputation wrote there.
-        layout, model, records = block_world(kind)
-        prepared = PreparedBatch(model, records, layout)
+        layout, _, model, records = table_pair(kind)
+        prepared = PreparedBatch(model, records)
         for seed in range(4):
             mode = ("a_aug", "x_aug")[seed % 2]
             mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
             out = model.impute(records, mask, np.random.default_rng(70 + seed), sample=sample,
                                prepared=prepared)
             fresh = model.impute(records, mask, np.random.default_rng(70 + seed), sample=sample,
-                                 prepared=PreparedBatch(model, records, layout))
+                                 prepared=PreparedBatch(model, records))
             assert out is prepared.imputed
             assert out.tobytes() == fresh.tobytes()
 
     def test_one_layer_stacks_match_dense_path(self):
         # hidden=(5,), the shallowest stack: the output layer follows the first
-        layout, model, records = block_world("cnn", hidden=(5,))
+        layout, dense, model, records = table_pair("cnn", hidden=(5,))
         mask = sample_mask("a_aug", 0.7, layout, len(records), np.random.default_rng(4))
-        dense = model.impute(records, dense_copy(mask), np.random.default_rng(5))
-        for extra in ({}, {"prepared": PreparedBatch(model, records, layout)}):
+        expected = dense.impute(records, dense_copy(mask), np.random.default_rng(5))
+        for extra in ({}, {"prepared": PreparedBatch(model, records)}):
             block = model.impute(records, mask, np.random.default_rng(5), **extra)
-            np.testing.assert_allclose(block, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+            np.testing.assert_allclose(block, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
 
     def test_training_prior_pair_gives_same_bits_as_condition(self):
-        layout, model, records = block_world("mlp")
+        layout, _, model, records = table_pair("mlp")
         mask = sample_mask("a_aug", 0.5, layout, len(records), np.random.default_rng(6))
         shared = model.condition(records, mask)
         a = model.impute(records, mask, np.random.default_rng(7), prior=shared)
@@ -502,16 +508,16 @@ class TestBlockImpute:
         # With gradients on, as in a training step: imputation walks the
         # stacks' own graph ops, but records no node, leaves every gradient
         # as it was and does not extend the shared prior's graph.
-        layout, model, records = block_world("mlp")
+        layout, dense, model, records = table_pair("mlp")
         mask = sample_mask("a_aug", 0.6, layout, len(records), np.random.default_rng(11))
         if route == "dense":
-            mask = dense_copy(mask)
+            model, mask = dense, dense_copy(mask)
         model.lambda_elbo(records, mask, np.random.default_rng(12))[0].backward()
         grads = [p.grad.copy() for p in model.parameters()]
         shared = model.condition(records, mask)
         nodes = ad._topo_order(shared[2].mean) + ad._topo_order(shared[2].logvar)
         graph = [(node, node._parents, node.grad) for node in nodes]
-        extra = ({"prepared": PreparedBatch(model, records, layout)} if route == "prepared"
+        extra = ({"prepared": PreparedBatch(model, records)} if route == "prepared"
                  else {"prior": shared})
         seq = next(ad._counter)
         model.impute(records, mask, np.random.default_rng(13), **extra)
@@ -526,22 +532,21 @@ class TestBlockImpute:
     def test_blind_to_masked_block(self, kind, mode):
         # criterion 4's barrier on the block paths: the masked block scaled
         # 25x leaves every output byte unchanged
-        layout, model, records = block_world(kind)
+        layout, dense, model, records = table_pair(kind)
         mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(8))
         scaled = np.where(mask.values > 0, records * 25.0, records)
-        for dense in (False, True):
-            m = dense_copy(mask) if dense else mask
-            base = model.impute(records, m, np.random.default_rng(9))
-            again = model.impute(scaled, m, np.random.default_rng(9))
+        for dgm, m in ((model, mask), (dense, dense_copy(mask))):
+            base = dgm.impute(records, m, np.random.default_rng(9))
+            again = dgm.impute(scaled, m, np.random.default_rng(9))
             assert base.tobytes() == again.tobytes()
         base = model.impute(records, mask, np.random.default_rng(9),
-                            prepared=PreparedBatch(model, records, layout))
+                            prepared=PreparedBatch(model, records))
         again = model.impute(scaled, mask, np.random.default_rng(9),
-                             prepared=PreparedBatch(model, scaled, layout))
+                             prepared=PreparedBatch(model, scaled))
         assert base.tobytes() == again.tobytes()
 
     def test_empty_block_mask_imputes_zeros_and_draws_latent_noise(self):
-        layout, model, records = block_world("mlp")
+        layout, _, model, records = table_pair("mlp")
         rng = np.random.default_rng(10)
         out = model.impute(records, empty_mask(layout, len(records)), rng)
         assert out.shape == records.shape and not out.any()
@@ -550,11 +555,24 @@ class TestBlockImpute:
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_prepared_batch_must_match_the_mask(self):
-        layout, model, records = block_world("mlp")
+        layout, _, model, records = table_pair("mlp")
         mask = sample_mask("a_aug", 0.5, layout, 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="prepared batch"):
             model.impute(records[:4], mask, np.random.default_rng(0),
-                         prepared=PreparedBatch(model, records, layout))
+                         prepared=PreparedBatch(model, records))
+
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_dgm_without_the_layout_imputes_densely(self, sample):
+        # The build, not the mask, picks the route: a dense-Wb DGM under a
+        # block mask imputes on the dense path, and prepares no batch.
+        layout, dense, _, records = table_pair("cnn")
+        mask = sample_mask("a_aug", 0.6, layout, len(records), np.random.default_rng(14))
+        assert (mask.block >= 0).any()
+        got = dense.impute(records, mask, np.random.default_rng(15), sample=sample)
+        expected = dense.impute(records, dense_copy(mask), np.random.default_rng(15), sample=sample)
+        assert got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="layout"):
+            PreparedBatch(dense, records)
 
 
 def elbo_and_gradients(model, records, mask, eps):
@@ -818,7 +836,7 @@ class TestTableBlockPaths:
     @pytest.mark.parametrize("prepared", [False, True])
     def test_impute_matches_the_dense_twin(self, kind, mode, sample, prepared):
         layout, dense, table, records = moved_pair(kind)
-        assert_impute_matches_dense(layout, table, records, mode, sample, prepared, twin=dense)
+        assert_impute_matches_dense(layout, table, dense, records, mode, sample, prepared)
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     @pytest.mark.parametrize("mode", ["a_aug", "x_aug"])
