@@ -190,7 +190,8 @@ def mc_predict(bundle, x, n_samples: int, mode: str, rng) -> np.ndarray:
     """Average class probabilities over stochastic forward passes.
 
     ``pilot_mc`` draws a fresh mask and imputation per sample and runs the
-    spliced pass; ``mc_dropout`` runs train-mode dropout at test time.
+    spliced pass; ``mc_dropout`` drops units at the bundle's dropout rate,
+    with batch norm on its running statistics. Neither changes the bundle.
 
     The input is walked in batches of ``nets.READ_BATCH`` rows, so memory is
     bounded by the batch, not by ``len(x)``. RNG order: batches are the outer
@@ -234,7 +235,7 @@ def _mc_batch(bundle, xb, n_samples: int, mode: str, rng) -> np.ndarray:
             imputed = bundle.dgm.impute(a_flat, mask, rng, prepared=prepared)
             logits, _ = clf.forward_spliced(record, mask, imputed)
         else:
-            logits = clf.forward(xb, train=True, dropout_rate=cfg.dropout_rate, rng=rng)
+            logits = clf.forward(xb, dropout_rate=cfg.dropout_rate, rng=rng)
         acc += ad.softmax(logits, axis=1).data
     return acc / n_samples
 

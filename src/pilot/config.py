@@ -196,8 +196,8 @@ def fields(cfg: dict, owner: str) -> dict:
 
 
 def classifier_spec(cfg: dict, input_shape: tuple, num_classes: int) -> ClassifierSpec:
+    """The classifier's spec, without batch norm: ``train()`` adds it for ``batch_norm``."""
     return ClassifierSpec(input_shape=tuple(input_shape), num_classes=num_classes,
-                          batch_norm=cfg["train.method"] == "batch_norm",
                           **fields(cfg, "ClassifierSpec"))
 
 

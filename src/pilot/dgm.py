@@ -456,14 +456,14 @@ class ActivationDGM:
                 raise NumericsError(name, "elbo term")
         return lam, diag
 
-    def impute(self, a_flat: np.ndarray | None, mask: Mask, rng, sample: bool | None = None,
-               *, prior=None, prepared: PreparedBatch | None = None) -> np.ndarray:
+    def impute(self, a_flat: np.ndarray | None, mask: Mask, rng, *, prior=None,
+               prepared: PreparedBatch | None = None) -> np.ndarray:
         """Generate values for the masked positions via the conditional prior.
 
         Never consults the encoder. Returns a (batch, total) array that holds
         the imputation at the positions where the mask is 1 and zero
-        elsewhere: the decoder mean by default; ``sample=True`` adds
-        decoder-variance noise; ``None`` follows ``config.impute_sample``.
+        elsewhere: the decoder mean, plus decoder-variance noise when
+        ``config.impute_sample`` is set.
 
         A DGM built with the record layout takes the block route, under the
         block masks it alone accepts: it runs the decoder only on rows that
@@ -485,10 +485,8 @@ class ActivationDGM:
         draw the same noise from ``rng``: a (batch, latent) draw, then a
         (batch, total) one when sampling.
         """
-        if sample is None:
-            sample = self.config.impute_sample
         if self.layout is None or mask.block is None:
-            return self._impute_dense(a_flat, mask, rng, sample, prior)
+            return self._impute_dense(a_flat, mask, rng, prior)
         n, dz, total = len(mask.block), self.config.latent_dim, self.record_dim
         covered = np.flatnonzero(mask.block >= 0)
         block = mask.block[covered]
@@ -510,24 +508,24 @@ class ActivationDGM:
                 p = self._split(self.prior_net.from_first(prepared.prior(rows, groups)))
                 z = reparam_sample(p, e[covered]).data
             mean = self.decoder.from_first(decoder(rows, groups, z), cuts).data
-        noise = rng.standard_normal((n, total)) if sample else None
+        noise = rng.standard_normal((n, total)) if self.config.impute_sample else None
         blocks = [(covered[g], c) for g, c in cuts]
         out = np.zeros((n, total)) if prepared is None else prepared.imputation(blocks)
         ends = np.cumsum([len(g) * mask.layout.sizes[layer] for layer, g in groups])
         for (rows_out, c), values in zip(blocks, np.split(mean, ends[:-1])):
             values = values.reshape(len(rows_out), -1)
-            if sample:
+            if noise is not None:
                 values = values + noise[rows_out, c] * np.sqrt(self.config.decoder_variance)
             out[rows_out, c] = self.standardizer.untransform(values, c)
         return out
 
-    def _impute_dense(self, a_flat, mask: Mask, rng, sample: bool, prior) -> np.ndarray:
+    def _impute_dense(self, a_flat, mask: Mask, rng, prior) -> np.ndarray:
         with ad.no_grad():
             _, observed, p = self.condition(a_flat, mask) if prior is None else prior
             e = rng.standard_normal(p.mean.shape)
             z = reparam_sample(p, e)
             mean = self.decoder(observed, mask, z).data
-        if sample:
+        if self.config.impute_sample:
             mean = mean + rng.standard_normal(mean.shape) * np.sqrt(self.config.decoder_variance)
         return np.where(mask.values > 0, self.standardizer.untransform(mean), 0.0)
 

@@ -199,14 +199,15 @@ class BatchNorm:
         return gamma * xhat + beta
 
 
-def dropout_mask_apply(h: Tensor, rate: float, rng, train: bool) -> Tensor:
+def dropout_mask_apply(h: Tensor, rate: float, rng) -> Tensor:
     """Inverted dropout: zero units with probability ``rate``, scale survivors.
 
-    Identity in eval mode; MC-dropout prediction calls this with train=True.
+    Drops whenever ``rate`` is nonzero, in training and in MC-dropout
+    prediction alike; a rate of 0 is the identity and draws nothing.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rate == 0.0:
         return h
     keep = (rng.random(h.shape) >= rate) / (1.0 - rate)
     return ad.mul(h, Tensor(keep))
@@ -276,6 +277,8 @@ class _ClassifierBase:
         return layers
 
     def forward(self, x, train=False, dropout_rate=0.0, rng=None) -> Tensor:
+        """Logits. ``train`` only selects batch norm's batch statistics; a
+        nonzero ``dropout_rate`` drops units, drawn from ``rng``."""
         return self._forward(x, train=train, dropout_rate=dropout_rate, rng=rng)[-1]
 
     def forward_record(self, x):
@@ -298,7 +301,8 @@ class _ClassifierBase:
         At each layer with masked positions, ``substitute(layer, fresh,
         rows)`` gives the values that replace ``fresh``, the fresh values of
         the batch rows ``rows``, there. Layers before ``start`` are kept as
-        they are. Returns the list of all layers.
+        they are. Returns the list of all layers. It refuses batch norm,
+        whose running statistics it would never update.
 
         The walk recomputes every row and selects between substituted and
         fresh values position by position. Without a graph (under
@@ -312,6 +316,8 @@ class _ClassifierBase:
         (:meth:`ActivationRecord.working`): the layers returned alias those
         copies until the next rowwise walk of ``record``.
         """
+        if self.spec.batch_norm:
+            raise NotImplementedError("the substituted passes do not support batch norm")
         rowwise = (not ad.grad_enabled() and mask.block is not None
                    and len(record.layers) == self.layout.n_layers)
         left = np.zeros(record.batch_size, dtype=bool)     # rows off the record so far
@@ -348,10 +354,8 @@ class _ClassifierBase:
         record's layers may then alias ``record``'s working copies, valid
         until the next such splice of ``record`` (see ``_resume``). Any other
         splice recomputes every row and aliases nothing of ``record`` from
-        the first masked layer on.
+        the first masked layer on. Refuses batch norm, as ``_resume`` does.
         """
-        if self.spec.batch_norm:
-            raise NotImplementedError("splicing through batch-norm classifiers is unsupported")
         masked = [l for l in range(self.layout.n_layers) if mask.masked_rows(l).any()]
 
         def substitute(l, fresh, rows):
@@ -365,7 +369,7 @@ class _ClassifierBase:
     def forward_noised(self, x, mask, noise, mode: str, propagate: bool) -> Tensor:
         """Forward pass with noise substituted ("sub") or added ("add") at
         masked positions; ``propagate=False`` puts the modified values behind
-        the stop-gradient barrier."""
+        the stop-gradient barrier. Refuses batch norm, as ``_resume`` does."""
         if mode not in ("add", "sub"):
             raise ValueError(f"noise mode must be 'add' or 'sub', got {mode!r}")
 
@@ -404,9 +408,7 @@ class MLPClassifier(_ClassifierBase):
         self.layout = RecordLayout(tuple(widths))
 
     def _stage(self, layer, prev, train=False, dropout_rate=0.0, rng=None):
-        h = prev if layer == 1 else ad.relu(prev)
-        if layer > 1 and dropout_rate:
-            h = dropout_mask_apply(h, dropout_rate, rng, train)
+        h = prev if layer == 1 else dropout_mask_apply(ad.relu(prev), dropout_rate, rng)
         z = ad.matmul(h, self.weights[layer - 1]) + self.biases[layer - 1]
         if self.bn is not None and layer < self.layout.n_layers - 1:
             z = self.bn[layer - 1].apply(z, train)
@@ -459,14 +461,10 @@ class CNNClassifier(_ClassifierBase):
             # ReLU and max pooling commute; pooling first runs the ReLU on
             # a quarter of the values.
             pooled = ad.relu(ad.max_pool2d(prev, self.spec.pool))
-            h = ad.reshape(pooled, (prev.shape[0], -1))
-            if dropout_rate:
-                h = dropout_mask_apply(h, dropout_rate, rng, train)
+            h = dropout_mask_apply(ad.reshape(pooled, (prev.shape[0], -1)), dropout_rate, rng)
             z = ad.matmul(h, self.w3) + self.b3
         elif layer == 4:
-            h = ad.relu(prev)
-            if dropout_rate:
-                h = dropout_mask_apply(h, dropout_rate, rng, train)
+            h = dropout_mask_apply(ad.relu(prev), dropout_rate, rng)
             z = ad.matmul(h, self.w4) + self.b4
         else:
             raise ValueError(f"cnn has no stage {layer}")

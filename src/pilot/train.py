@@ -395,7 +395,8 @@ def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
           epoch_callback=None):
     """Train per ``cfg.method`` over shuffled minibatches; deterministic under
     seed. Returns ``(TrainedBundle, TrainLog)``. ``epoch_callback(epoch,
-    bundle, stats)``, if given, runs after each epoch's log row is appended."""
+    bundle, stats)``, if given, runs after each epoch's log row is appended.
+    The ``batch_norm`` method switches ``spec.batch_norm`` on."""
     if len(dataset.x_train) == 0:
         raise ValueError("dataset is empty")
     if cfg.method == "batch_norm" and not spec.batch_norm:

@@ -307,6 +307,22 @@ class TestMcPredict:
         head = mc_predict(bundle, x[:512], 2, "mc_dropout", np.random.default_rng(6))
         assert full[:512].tobytes() == head.tobytes()
 
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_mc_dropout_keeps_batch_norm_on_running_statistics(self, kind):
+        # The draws neither normalise by the batch nor write the running
+        # statistics: the bundle and its plain predictions do not move, and
+        # at dropout rate 0 one draw is the plain prediction, bit for bit.
+        ds, spec = small_world(kind, seed=47)
+        bundle, _ = train(spec, TrainConfig(method="batch_norm", epochs=1, batch_size=16, seed=0), ds)
+        clf, x = bundle.classifier, ds.x_test[:40]
+        state = {k: v.tobytes() for k, v in clf.state_arrays().items()}
+        plain = bundle.predict(x)
+        mc_predict(bundle, x, 3, "mc_dropout", np.random.default_rng(7))
+        assert {k: v.tobytes() for k, v in clf.state_arrays().items()} == state
+        assert bundle.predict(x).tobytes() == plain.tobytes()
+        bundle.train_config = dataclasses.replace(bundle.train_config, dropout_rate=0.0)
+        assert mc_predict(bundle, x, 1, "mc_dropout", np.random.default_rng(7)).tobytes() == plain.tobytes()
+
 
 class TestMcDrawContract:
     def test_one_mask_impute_and_splice_per_draw(self, monkeypatch):
@@ -335,17 +351,24 @@ class TestMcDrawContract:
         assert calls == ["mask", "impute", "splice"] * 4
 
 
-def block_bundle(kind, mask_mode):
-    """A small trained pilot bundle under a block mask mode, and test rows."""
+def small_world(kind, seed):
+    """Blobs and a small classifier of ``kind``: 6 features for the MLP,
+    2x8x8 images for the CNN."""
     if kind == "mlp":
-        ds = synth_blobs(3, 30, 6, 3.0, seed=45)
+        ds = synth_blobs(3, 30, 6, 3.0, seed=seed)
         spec = ClassifierSpec(kind="mlp", input_shape=(6,), num_classes=3, hidden=(8, 8))
     else:
-        ds = synth_blobs(3, 30, 2 * 8 * 8, 3.0, seed=46)
+        ds = synth_blobs(3, 30, 2 * 8 * 8, 3.0, seed=seed)
         spec = ClassifierSpec(kind="cnn", input_shape=(2, 8, 8), num_classes=3,
                               conv_channels=(3, 4), dense_width=10)
         ds = dataclasses.replace(ds, x_train=ds.x_train.reshape(-1, 2, 8, 8),
                                  x_test=ds.x_test.reshape(-1, 2, 8, 8))
+    return ds, spec
+
+
+def block_bundle(kind, mask_mode):
+    """A small trained pilot bundle under a block mask mode, and test rows."""
+    ds, spec = small_world(kind, seed=45 if kind == "mlp" else 46)
     cfg = TrainConfig(method="pilot", mask_mode=mask_mode, mask_rate=0.5, epochs=1,
                       batch_size=32, seed=0)
     bundle, _ = train(spec, cfg, ds, DGMConfig(latent_dim=4, hidden=(8,)))

@@ -26,7 +26,7 @@ from pilot.config import (
 from pilot.data import synth_blobs
 from pilot.dgm import DGMConfig, HyperpriorConfig
 from pilot.nets import ClassifierSpec
-from pilot.train import TrainConfig
+from pilot.train import TrainConfig, train
 
 
 class TestParse:
@@ -89,9 +89,12 @@ class TestBuilders:
         assert not spec.batch_norm
 
     def test_batch_norm_method_sets_spec_flag(self):
-        cfg = parse_config("train.method=batch_norm\n")
+        # The builder leaves batch norm off; train() switches it on for the
+        # batch_norm method, and the bundle it returns carries the flag.
+        cfg = parse_config("train.method=batch_norm\ntrain.epochs=1\ntrain.batch_size=32\n")
         spec = classifier_spec(cfg, (8,), 3)
-        assert spec.batch_norm
+        bundle, _ = train(spec, train_config(cfg), synth_blobs(3, 20, 8, 3.0, seed=0))
+        assert bundle.spec.batch_norm and bundle.classifier.bn is not None
 
     def test_train_config_mask_only_when_needed(self):
         cfg = parse_config("train.method=vanilla\n")
@@ -158,7 +161,8 @@ NON_DEFAULT = {
     "eval.mc_samples": "4",
 }
 
-# Fields the builders fill by a written-out rule rather than from one key.
+# Fields the builders fill by a written-out rule rather than from one key;
+# ClassifierSpec.batch_norm is left at its default, for train() to set.
 BY_RULE = {
     "ClassifierSpec": {"input_shape", "num_classes", "batch_norm"},
     "TrainConfig": {"validate_separation"},

@@ -1,5 +1,7 @@
 """Activation DGM: distribution heads, ELBO terms, hyperprior, imputation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,12 @@ TINY = DGMConfig(latent_dim=2, hidden=(8,), standardize=False)
 
 def tiny_dgm(seed=0, config=TINY):
     return ActivationDGM(LAYOUT.total, config, np.random.default_rng(seed))
+
+
+def sampling(model, sample):
+    """``model`` with its ``config.impute_sample`` set to ``sample``."""
+    model.config = dataclasses.replace(model.config, impute_sample=sample)
+    return model
 
 
 def fixed_mask(batch, columns):
@@ -310,8 +318,8 @@ class TestImpute:
         model = tiny_dgm(seed=29)
         a = np.random.default_rng(30).standard_normal((2, LAYOUT.total))
         mask = fixed_mask(2, [1])
-        mean_imp = model.impute(a, mask, np.random.default_rng(3), sample=False)
-        samp_imp = model.impute(a, mask, np.random.default_rng(3), sample=True)
+        mean_imp = model.impute(a, mask, np.random.default_rng(3))
+        samp_imp = sampling(model, True).impute(a, mask, np.random.default_rng(3))
         assert not np.allclose(mean_imp, samp_imp)
 
 
@@ -441,13 +449,14 @@ def dense_copy(mask):
 def assert_impute_matches_dense(layout, model, twin, records, mode, sample, prepared):
     """``model``'s imputations under block masks of ``mode`` against its
     dense ``twin``'s on the same masks without their block index."""
+    model, twin = sampling(model, sample), sampling(twin, sample)
     for seed in range(3):
         mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
         assert mask.block is not None and (mask.block >= 0).any()
         rng_block, rng_dense = np.random.default_rng(50 + seed), np.random.default_rng(50 + seed)
         extra = {"prepared": PreparedBatch(model, records)} if prepared else {}
-        block = model.impute(records, mask, rng_block, sample=sample, **extra)
-        dense = twin.impute(records, dense_copy(mask), rng_dense, sample=sample)
+        block = model.impute(records, mask, rng_block, **extra)
+        dense = twin.impute(records, dense_copy(mask), rng_dense)
         on = mask.values > 0
         scale = np.abs(dense[on]).max()
         np.testing.assert_allclose(block[on], dense[on], rtol=1e-12, atol=1e-12 * scale)
@@ -474,13 +483,13 @@ class TestBlockImpute:
         # Each imputation rewrites the prepared batch's one array: zero off
         # its own mask, whatever the last imputation wrote there.
         layout, _, model, records = table_pair(kind)
+        model = sampling(model, sample)
         prepared = PreparedBatch(model, records)
         for seed in range(4):
             mode = ("a_aug", "x_aug")[seed % 2]
             mask = sample_mask(mode, 0.6, layout, len(records), np.random.default_rng(seed))
-            out = model.impute(records, mask, np.random.default_rng(70 + seed), sample=sample,
-                               prepared=prepared)
-            fresh = model.impute(records, mask, np.random.default_rng(70 + seed), sample=sample,
+            out = model.impute(records, mask, np.random.default_rng(70 + seed), prepared=prepared)
+            fresh = model.impute(records, mask, np.random.default_rng(70 + seed),
                                  prepared=PreparedBatch(model, records))
             assert out is prepared.imputed
             assert out.tobytes() == fresh.tobytes()
@@ -566,10 +575,11 @@ class TestBlockImpute:
         # The build, not the mask, picks the route: a dense-Wb DGM under a
         # block mask imputes on the dense path, and prepares no batch.
         layout, dense, _, records = table_pair("cnn")
+        dense = sampling(dense, sample)
         mask = sample_mask("a_aug", 0.6, layout, len(records), np.random.default_rng(14))
         assert (mask.block >= 0).any()
-        got = dense.impute(records, mask, np.random.default_rng(15), sample=sample)
-        expected = dense.impute(records, dense_copy(mask), np.random.default_rng(15), sample=sample)
+        got = dense.impute(records, mask, np.random.default_rng(15))
+        expected = dense.impute(records, dense_copy(mask), np.random.default_rng(15))
         assert got.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="layout"):
             PreparedBatch(dense, records)

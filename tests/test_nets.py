@@ -397,36 +397,47 @@ class TestBatchNorm:
         loss.backward()
         assert clf.bn[0].gamma.grad is not None
 
+    @pytest.mark.parametrize("spec", [ClassifierSpec(kind="mlp", input_shape=(6,), num_classes=3,
+                                                     hidden=(8,), batch_norm=True),
+                                      dataclasses.replace(cnn_spec(), batch_norm=True)])
+    @pytest.mark.parametrize("walk", ["spliced", "noised"])
+    def test_substituted_passes_refuse_batch_norm(self, spec, walk):
+        rng = np.random.default_rng(20)
+        clf = build_classifier(spec, rng)
+        x = rng.standard_normal((4,) + spec.input_shape)
+        mask = sample_mask("a_drop", 0.5, clf.layout, 4, rng)
+        values = np.zeros((4, clf.layout.total))
+        with pytest.raises(NotImplementedError, match="batch norm"):
+            if walk == "spliced":
+                clf.forward_spliced(clf.forward_record(x)[1], mask, values)
+            else:
+                clf.forward_noised(x, mask, values, "add", propagate=True)
+
 
 class TestDropout:
     def test_rate_zero_identity(self):
         h = Tensor(np.ones((4, 4)))
-        out = dropout_mask_apply(h, 0.0, np.random.default_rng(0), train=True)
-        assert out is h
-
-    def test_eval_mode_identity(self):
-        h = Tensor(np.ones((4, 4)))
-        out = dropout_mask_apply(h, 0.5, np.random.default_rng(0), train=False)
+        out = dropout_mask_apply(h, 0.0, np.random.default_rng(0))
         assert out is h
 
     def test_zero_fraction_binomial_ci(self):
         rng = np.random.default_rng(20)
         h = Tensor(np.ones(100_000))
-        out = dropout_mask_apply(h, 0.5, rng, train=True)
+        out = dropout_mask_apply(h, 0.5, rng)
         frac = float((out.data == 0).mean())
         assert abs(frac - 0.5) < 0.01            # 3 sigma is ~0.0047
 
     def test_inverted_scaling_unbiased(self):
         rng = np.random.default_rng(21)
         h = Tensor(np.full(50_000, 2.0))
-        out = dropout_mask_apply(h, 0.25, rng, train=True)
+        out = dropout_mask_apply(h, 0.25, rng)
         assert abs(out.data.mean() - 2.0) < 0.02
         surviving = out.data[out.data != 0]
         np.testing.assert_allclose(surviving, 2.0 / 0.75)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError, match="dropout rate"):
-            dropout_mask_apply(Tensor(np.ones(3)), 1.0, np.random.default_rng(0), True)
+            dropout_mask_apply(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))
 
 
 

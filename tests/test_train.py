@@ -367,6 +367,15 @@ class TestTrainLoop:
             assert np.all(bn.running_var.data != 1.0)
         np.testing.assert_array_equal(bundle.predict(ds.x_test), bundle.predict(ds.x_test))
 
+    @pytest.mark.parametrize("method", ["add_noise", "sub_noise", "pilot"])
+    def test_substituting_methods_refuse_batch_norm_before_any_checkpoint(self, method, tmp_path):
+        ds, spec = blob_setup(seed=43)
+        cfg = TrainConfig(method=method, mask_mode="a_drop", epochs=1, batch_size=32, seed=6)
+        with pytest.raises(NotImplementedError, match="batch norm"):
+            train(dataclasses.replace(spec, batch_norm=True), cfg, ds,
+                  DGMConfig(latent_dim=4, hidden=(8,)), checkpoint_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_empty_dataset_rejected(self):
         ds, spec = blob_setup()
         ds.x_train = ds.x_train[:0]
