@@ -479,21 +479,31 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
     return _make(out, "conv2d", (x, w), backward)
 
 
+def _max_of_slices(a: np.ndarray, axis: int, k: int) -> np.ndarray:
+    """Elementwise maximum of the k strided slices ``i::k`` of ``a`` along
+    ``axis``, folded in order."""
+    parts = [a[(slice(None),) * axis + (slice(i, None, k),)] for i in range(k)]
+    out = np.maximum(parts[0], parts[1]) if k > 1 else parts[0].copy()
+    for part in parts[2:]:
+        np.maximum(out, part, out=out)
+    return out
+
+
 def max_pool2d(x, k: int) -> Tensor:
     """Non-overlapping k*k max pooling; H and W must divide by k.
 
     The output is the elementwise maximum of the k*k strided slices
-    ``x[:, :, i::k, j::k]``. Ties route gradient to every maximal position in
-    the window.
+    ``x[:, :, i::k, j::k]``: the maximum over each window's k columns first,
+    then over its k rows, which picks the same element of the window as
+    folding the slices in row-major order, ties, signed zeros and NaNs
+    included. Ties route gradient to every maximal position in the window.
     """
     x = as_tensor(x)
     if x.ndim != 4 or x.shape[2] % k or x.shape[3] % k:
         raise ShapeError("max_pool2d", x.shape, (k, k))
+    out = _max_of_slices(_max_of_slices(x.data, 3, k), 2, k)
     taps = [(slice(None), slice(None), slice(i, None, k), slice(j, None, k))
             for i in range(k) for j in range(k)]
-    out = x.data[taps[0]].copy()
-    for tap in taps[1:]:
-        np.maximum(out, x.data[tap], out=out)
 
     def backward(g):
         dx = np.empty_like(x.data)

@@ -11,6 +11,7 @@ there. Each model keeps its parameters and buffers in one ``Registry``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -78,44 +79,55 @@ class RecordLayout:
 class ActivationRecord:
     """Stacked raw pre-activations of one forward pass, a^0..a^L.
 
-    A no-graph splice of the whole record under a block mask
-    (``forward_spliced`` under :func:`autodiff.no_grad`) writes the rows it
-    recomputes or substitutes into working copies of the record's layers,
-    not into fresh copies of them: the record makes a layer's copy on the
-    first such write and keeps it. The record's own layers are never
-    written.
+    A layer may be held as another record's layer with some rows replaced,
+    and is then built on its first read. The record's own layers are never
+    written: a no-graph splice of it under a block mask writes only the one
+    buffer per resumed stage that :meth:`gemm_input` keeps.
     """
 
-    def __init__(self, layers, layout: RecordLayout):
-        self.layers = list(layers)
+    def __init__(self, layers, layout: RecordLayout, replaced=None):
+        self._layers = list(layers)
         self.layout = layout
-        self._work = {}     # layer -> (working copy, rows it differs from the record on)
+        self._replaced = dict(replaced or {})   # layer -> (rows, their values)
+        self._inputs = {}   # stage -> [head of the record's layer, buffer, rows it differs on]
 
-    def working(self, layer: int, rows: np.ndarray) -> np.ndarray:
-        """Layer ``layer``'s working copy for a splice that rewrites in full
-        the rows the boolean ``rows`` selects. It holds the record's values
-        on every other row: rows the last splice wrote are restored from the
-        record first; the rest is left as it is."""
-        if layer not in self._work:
-            self._work[layer] = (self.layers[layer].data.copy(), rows.copy())
-            return self._work[layer][0]
-        work, written = self._work[layer]
-        stale = written & ~rows
-        work[stale] = self.layers[layer].data[stale]
-        written[:] = rows
-        return work
+    def __len__(self) -> int:
+        return len(self._layers)
+
+    def layer(self, index: int) -> Tensor:
+        if index in self._replaced:
+            rows, values = self._replaced.pop(index)
+            data = self._layers[index].data.copy()
+            data[rows] = values
+            self._layers[index] = Tensor(data)
+        return self._layers[index]
+
+    @property
+    def layers(self) -> list:
+        return [self.layer(l) for l in range(len(self))]
+
+    def gemm_input(self, stage: int, head, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Stage ``stage``'s GEMM input over the batch for a no-graph splice:
+        ``values`` on the rows ``rows`` and ``head`` of the record's layer
+        ``stage - 1`` on the others. It is written into the one buffer the
+        record keeps for the stage, with that head computed on the first call
+        and kept to restore the rows the last call wrote."""
+        if stage not in self._inputs:
+            clean = head(self.layer(stage - 1)).data
+            self._inputs[stage] = [clean, clean.copy(), rows[:0]]     # nothing written yet
+        clean, buffer, written = self._inputs[stage]
+        buffer[written] = clean[written]
+        buffer[rows] = values
+        self._inputs[stage][2] = rows
+        return buffer
 
     @property
     def logits(self) -> Tensor:
-        return self.layers[-1]
-
-    @property
-    def batch_size(self) -> int:
-        return self.layers[0].shape[0]
+        return self.layer(len(self) - 1)
 
     def flatten(self) -> np.ndarray:
         """Concatenate all layer values into a (batch, total) array."""
-        n = self.batch_size
+        n = self._layers[0].shape[0]
         return np.concatenate([t.data.reshape(n, -1) for t in self.layers], axis=1)
 
 
@@ -228,16 +240,24 @@ class _ClassifierBase:
     layout: RecordLayout
     registry: Registry
     # Stages that compute each example's row from that row alone, bit for
-    # bit whatever the other rows are; ``_resume`` may recompute a subset.
+    # bit whatever the other rows are; ``_resume_rows`` may compute a subset.
     row_local_stages = ()
 
     # Each subclass implements _stage(l, prev, ...): pre-activation a^l from
     # the (possibly spliced) a^{l-1}, including any nonlinearity/pooling of
-    # the previous layer. Stage 1 consumes a^0 = x directly.
+    # the previous layer. Stage 1 consumes a^0 = x directly. A stage also
+    # takes, in place of a^{l-1}, what ``_head`` makes of it.
 
     def _stage(self, layer: int, prev: Tensor, train: bool = False,
                dropout_rate: float = 0.0, rng=None) -> Tensor:
         raise NotImplementedError
+
+    def _head(self, layer: int, prev: Tensor) -> Tensor:
+        """What stage ``layer``'s GEMM multiplies, made from a^{l-1} row by
+        row (before dropout); given its own output, it returns it. A no-graph
+        block-mask splice makes it only for the rows off the record
+        (:meth:`_resume_rows`)."""
+        return prev
 
     def _batch_norms(self, widths):
         """One BatchNorm per width when the spec asks for batch norm,
@@ -293,7 +313,7 @@ class _ClassifierBase:
         values = values.data if isinstance(values, Tensor) else np.asarray(values)
         return Tensor(values[rows, self.layout.layer_slice(layer)].reshape(shape))
 
-    def _resume(self, record: ActivationRecord, start: int, mask, substitute):
+    def _resume(self, record: ActivationRecord, start: int, mask, substitute) -> ActivationRecord:
         """The one walk with substituted activations.
 
         Takes layer ``start`` from ``record``, which holds at least layers
@@ -301,44 +321,64 @@ class _ClassifierBase:
         At each layer with masked positions, ``substitute(layer, fresh,
         rows)`` gives the values that replace ``fresh``, the fresh values of
         the batch rows ``rows``, there. Layers before ``start`` are kept as
-        they are. Returns the list of all layers. It refuses batch norm,
+        they are. Returns the record of all layers. It refuses batch norm,
         whose running statistics it would never update.
 
         The walk recomputes every row and selects between substituted and
         fresh values position by position. Without a graph (under
         :func:`autodiff.no_grad`), with a block mask and a whole ``record``
-        it takes a rowwise route to the same values: a block mask replaces
-        a masked row's whole layer, so only the masked rows are substituted,
-        with no select, and a row-local stage recomputes only the rows whose
-        input has left the record, keeping the record's rows, bit-identical
-        to recomputed ones, for the others. That route writes the start
-        layer and the row-local layers in the record's working copies
-        (:meth:`ActivationRecord.working`): the layers returned alias those
-        copies until the next rowwise walk of ``record``.
+        it takes a rowwise route to the same values (:meth:`_resume_rows`).
         """
         if self.spec.batch_norm:
             raise NotImplementedError("the substituted passes do not support batch norm")
-        rowwise = (not ad.grad_enabled() and mask.block is not None
-                   and len(record.layers) == self.layout.n_layers)
-        left = np.zeros(record.batch_size, dtype=bool)     # rows off the record so far
-        walked = record.layers[:start]
+        if not ad.grad_enabled() and mask.block is not None and len(record) == self.layout.n_layers:
+            return self._resume_rows(record, start, mask, substitute)
+        recorded = record.layers
+        walked = recorded[:start]
         for l in range(start, self.layout.n_layers):
-            rows = mask.masked_rows(l)
-            if rowwise and (l == start or l in self.row_local_stages):
-                data = record.working(l, left | rows)
-                if left.any():
-                    data[left] = self._stage(l, Tensor(walked[-1].data[left])).data
-                fresh = Tensor(data)
-            else:
-                fresh = record.layers[l] if l == start else self._stage(l, walked[-1])
-            if rowwise and rows.any():
-                fresh.data[rows] = substitute(l, Tensor(fresh.data[rows]), rows).data
-            elif rows.any():
+            fresh = recorded[l] if l == start else self._stage(l, walked[-1])
+            if mask.masked_rows(l).any():
                 fresh = ad.where(mask.layer(l).reshape(fresh.shape),
                                  substitute(l, fresh, slice(None)), fresh)
-            left |= rows
             walked.append(fresh)
-        return walked
+        return ActivationRecord(walked, self.layout)
+
+    def _resume_rows(self, record: ActivationRecord, start: int, mask, substitute) -> ActivationRecord:
+        """``_resume`` without a graph under a block mask, which replaces a
+        masked row's whole layer: a row leaves the record at its masked
+        layer. While stages are row-local, only the rows off the record are
+        computed, compacted in row order; the returned record builds those
+        layers from ``record``'s when first read. The first other stage runs
+        its ``_head`` on those rows too, and its GEMM, as every later stage,
+        over all rows, with the other rows' input from the record's buffer
+        (:meth:`ActivationRecord.gemm_input`). Rows on the record keep its
+        values, bit-identical to recomputed ones.
+        """
+        n = self.layout.n_layers
+        recorded = record.layers
+        first = np.where(mask.block < 0, n, mask.block)     # each row's masked layer; n: none
+        replaced, l = {}, start
+        while l < n and (l == start or l in self.row_local_stages):
+            rows = np.flatnonzero(first <= l)       # rows off the record at layer l
+            resumed = first[rows] < l               # ... that left it before l
+            new = rows[~resumed]
+            values = np.empty((len(rows),) + recorded[l].shape[1:], dtype=recorded[l].data.dtype)
+            if resumed.any():
+                values[resumed] = self._stage(l, Tensor(replaced[l - 1][1])).data
+            values[~resumed] = substitute(l, Tensor(recorded[l].data[new]), new).data
+            replaced[l] = (rows, values)
+            l += 1
+        gemm = l        # the first stage that is not row-local
+        walked = recorded[:gemm]
+        for l in range(gemm, n):
+            prev = walked[-1] if l > gemm else Tensor(record.gemm_input(
+                l, partial(self._head, l), rows, self._head(l, Tensor(values)).data))
+            fresh = self._stage(l, prev)
+            new = np.flatnonzero(first == l)
+            if len(new):
+                fresh.data[new] = substitute(l, Tensor(fresh.data[new]), new).data
+            walked.append(fresh)
+        return ActivationRecord(walked, self.layout, replaced)
 
     def forward_spliced(self, record: ActivationRecord, mask, imputed):
         """Resume the recorded pass with imputed values at masked positions.
@@ -349,12 +389,10 @@ class _ClassifierBase:
         take the freshly recomputed one. An empty mask reproduces the
         recorded pass bit-exactly. Under :func:`autodiff.no_grad` a block
         mask (``x_aug``, ``a_aug``) substitutes only the rows it has touched,
-        and the convolution stages recompute only those rows and keep the
-        record's rows for the others; the logits are the same. The returned
-        record's layers may then alias ``record``'s working copies, valid
-        until the next such splice of ``record`` (see ``_resume``). Any other
-        splice recomputes every row and aliases nothing of ``record`` from
-        the first masked layer on. Refuses batch norm, as ``_resume`` does.
+        and the row-local stages (the convolutions and the max pooling)
+        compute only those rows; the logits are the same. The returned
+        record's layers never alias a buffer a later splice writes. Refuses
+        batch norm, as ``_resume`` does.
         """
         masked = [l for l in range(self.layout.n_layers) if mask.masked_rows(l).any()]
 
@@ -362,8 +400,7 @@ class _ClassifierBase:
             return self._layer_constant(imputed, l, fresh.shape, rows)
 
         start = min(masked, default=self.layout.n_layers)    # nothing masked: the record as it is
-        layers = self._resume(record, start, mask, substitute)
-        out = ActivationRecord(layers, self.layout)
+        out = self._resume(record, start, mask, substitute)
         return out.logits, out
 
     def forward_noised(self, x, mask, noise, mode: str, propagate: bool) -> Tensor:
@@ -379,7 +416,7 @@ class _ClassifierBase:
             return value if propagate else ad.stop_gradient(value)
 
         inputs = ActivationRecord([self._input_tensor(x)], self.layout)
-        return self._resume(inputs, 0, mask, substitute)[-1]
+        return self._resume(inputs, 0, mask, substitute).logits
 
     def predict(self, x) -> np.ndarray:
         """Class probabilities, row-normalised softmax of the logits."""
@@ -452,16 +489,20 @@ class CNNClassifier(_ClassifierBase):
         )
         self.layout = RecordLayout(sizes)
 
+    def _head(self, layer, prev):
+        if layer != 3 or prev.ndim == 2:
+            return prev
+        # ReLU and max pooling commute; pooling first runs the ReLU on a
+        # quarter of the values.
+        return ad.reshape(ad.relu(ad.max_pool2d(prev, self.spec.pool)), (prev.shape[0], -1))
+
     def _stage(self, layer, prev, train=False, dropout_rate=0.0, rng=None):
         if layer == 1:
             z = ad.conv2d(prev, self.w1) + ad.reshape(self.b1, (1, -1, 1, 1))
         elif layer == 2:
             z = ad.conv2d(ad.relu(prev), self.w2) + ad.reshape(self.b2, (1, -1, 1, 1))
         elif layer == 3:
-            # ReLU and max pooling commute; pooling first runs the ReLU on
-            # a quarter of the values.
-            pooled = ad.relu(ad.max_pool2d(prev, self.spec.pool))
-            h = dropout_mask_apply(ad.reshape(pooled, (prev.shape[0], -1)), dropout_rate, rng)
+            h = dropout_mask_apply(self._head(3, prev), dropout_rate, rng)
             z = ad.matmul(h, self.w3) + self.b3
         elif layer == 4:
             h = dropout_mask_apply(ad.relu(prev), dropout_rate, rng)

@@ -549,6 +549,21 @@ def _max_pool2d_oracle(x, k, g):
     return out, (mask * g[:, :, :, None, :, None]).reshape(n, c, h, w)
 
 
+def _max_pool2d_taps(x, k, g):
+    """The k*k-tap kernel: the strided slices ``x[:, :, i::k, j::k]`` folded
+    by ``np.maximum`` in row-major order; dx routes ``g`` to every tap that
+    equals the output."""
+    taps = [(slice(None), slice(None), slice(i, None, k), slice(j, None, k))
+            for i in range(k) for j in range(k)]
+    out = x[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, x[tap], out=out)
+    dx = np.empty_like(x)
+    for tap in taps:
+        dx[tap] = (x[tap] == out) * g
+    return out, dx
+
+
 def _close(a, b, rel=1e-12):
     return np.abs(a - b).max() <= rel * np.abs(b).max()
 
@@ -600,6 +615,26 @@ class TestBlockedKernels:
         (y * Tensor(g)).sum().backward()
         out, dx = _max_pool2d_oracle(x.data, k, g)
         assert (x.data == 0).mean() > 0.5 and (y.data == 0).any()
+        assert y.data.tobytes() == out.tobytes()
+        assert x.grad.tobytes() == dx.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_max_pool2d_matches_the_tap_fold(self, k, n):
+        # Columns first, then rows, must pick the element the row-major fold
+        # of the k*k taps picks: the same bytes under ties, signed zeros and
+        # NaNs of either sign, forward and backward.
+        rng = np.random.default_rng(10 * k + n)
+        raw = np.round(rng.standard_normal((n, 3, 4 * k, 4 * k)) * 2.0) / 2.0 - 1.0
+        for value, share in ((0.0, 0.15), (-0.0, 0.15), (np.nan, 0.01), (-np.nan, 0.01)):
+            raw[rng.random(raw.shape) < share] = value
+        x = Tensor(raw, requires_grad=True)
+        y = ad.max_pool2d(x, k)
+        g = rng.standard_normal(y.shape)
+        (y * Tensor(g)).sum().backward()
+        out, dx = _max_pool2d_taps(raw, k, g)
+        zeros = out[out == 0]
+        assert np.isnan(out).any() and np.signbit(zeros).any() and not np.signbit(zeros).all()
         assert y.data.tobytes() == out.tobytes()
         assert x.grad.tobytes() == dx.tobytes()
 

@@ -1,6 +1,7 @@
 """Recording classifiers: forward variants, splicing, batch norm, dropout."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,10 +199,10 @@ class TestForwardSpliced:
 
 class TestInferenceSplice:
     """Without a graph, under a block mask and from a whole record, the walk
-    substitutes only masked rows and the conv stages recompute only rows off
-    the record, in the record's working copies; any other splice selects
-    over every row and never reads a working copy. The bits must not
-    change."""
+    substitutes only masked rows, the conv stages and stage 3's pooling
+    compute only rows off the record, and stage 3's GEMM reads the record's
+    buffer of its input; any other splice selects over every row and never
+    reads that buffer. The bits must not change."""
 
     @staticmethod
     def _world(spec_fn, batch=13, seed=60):
@@ -226,26 +227,40 @@ class TestInferenceSplice:
             for a, b in zip(spliced.layers, dense.layers):
                 assert a.data.tobytes() == b.data.tobytes()
 
+    @staticmethod
+    def _mask(mode, rate, layout, batch, seed):
+        """``sample_mask``'s draw, or two block masks it rarely draws:
+        "none" masks nothing, so every row stays on the record; "last"
+        masks only the last hidden layer, so rows leave the record only
+        after the conv stages and the pooling."""
+        if mode == "none":
+            return empty_mask(layout, batch)
+        if mode == "last":
+            gate = np.random.default_rng(seed).random(batch) < rate
+            return Mask(None, "a_aug", rate, layout, block=np.where(gate, layout.n_layers - 2, -1))
+        return sample_mask(mode, rate, layout, batch, np.random.default_rng(seed))
+
     @pytest.mark.parametrize("spec_fn, mode, rate", [
         *[(spec_fn, mode, 0.5) for spec_fn in (mlp_spec, cnn_spec)
-          for mode in ("x_aug", "a_aug", "a_drop")],
+          for mode in ("x_aug", "a_aug", "a_drop", "a_aug+x_aug+a_drop", "a_aug+none+last")],
         (cnn_spec, "a_drop", 0.01),
         (cnn_spec, "a_aug+a_drop", 0.5),     # the modes in turn
     ])
     def test_consecutive_splices_of_one_record_match_fresh_records(self, spec_fn, mode, rate):
-        # Without a graph a record's block-mask splices write into its
-        # working layers; each must equal a splice of a fresh record, and the
-        # record's own layers must stay as recorded. A drop mask never reads
-        # a working copy: at a low rate an a_drop row can keep layer 0 and be
-        # masked at a conv layer, and its unmasked positions there must be
-        # the record's. A drop-mask splice between two block-mask ones must
-        # neither read nor disturb the working layers.
+        # Without a graph a record's block-mask splices write its buffer of
+        # the first GEMM stage's input (the pooled map, on the CNN); each
+        # must equal a splice of a fresh record, and the record's own layers
+        # must stay as recorded. A drop mask never reads that buffer: at a
+        # low rate an a_drop row can keep layer 0 and be masked at a conv
+        # layer, and its unmasked positions there must be the record's. A
+        # drop-mask splice, or one that leaves every row on the record,
+        # between two block-mask ones must neither read nor disturb the
+        # buffer.
         clf, x, record, imputed = self._world(spec_fn)
         recorded = [t.data.tobytes() for t in record.layers]
         modes = mode.split("+")
-        for seed in range(4):
-            mask = sample_mask(modes[seed % len(modes)], rate, clf.layout, 13,
-                               np.random.default_rng(seed))
+        for seed in range(4 * len(modes)):
+            mask = self._mask(modes[seed % len(modes)], rate, clf.layout, 13, seed)
             if rate < 0.5:
                 assert (~mask.masked_rows(0) & (mask.masked_rows(1) | mask.masked_rows(2))).any()
             values = imputed * (seed + 1.0)
@@ -268,6 +283,49 @@ class TestInferenceSplice:
         off_at_1 = int((mask.block == 0).sum())
         off_at_2 = int(((mask.block == 0) | (mask.block == 1)).sum())
         assert rows == [n for n in (off_at_1, off_at_2) if n]
+
+    def test_pooling_sees_only_rows_off_the_record(self, monkeypatch):
+        # The first draw pools its rows off the record and, once, the whole
+        # record for the buffer; later draws pool only their rows off the
+        # record, and a draw that leaves none of them pools nothing.
+        clf, _, record, imputed = self._world(cnn_spec, batch=16)
+        rows, pool = [], ad.max_pool2d
+        monkeypatch.setattr(ad, "max_pool2d", lambda x, k: rows.append(x.shape[0]) or pool(x, k))
+        for seed, mode in ((3, "a_aug"), (4, "a_aug"), (5, "last"), (6, "none")):
+            mask = self._mask(mode, 0.5, clf.layout, 16, seed)
+            off_at_3 = int(((mask.block >= 0) & (mask.block <= 2)).sum())
+            with ad.no_grad():
+                clf.forward_spliced(record, mask, imputed)
+            whole = [16] if seed == 3 else []
+            assert rows == ([off_at_3] if off_at_3 else []) + whole, mode
+            rows.clear()
+
+    def test_later_draws_allocate_no_batch_wide_conv_layer(self):
+        # The record keeps only its buffer of stage 3's pooled input (and
+        # the record's pooled map), each a quarter of layer 2's width here;
+        # a later draw with few rows off the record allocates no (B, layer 1
+        # or layer 2 width) array.
+        batch = 64
+        clf, _, record, imputed = self._world(cnn_spec, batch=batch)
+        bound = batch * min(clf.layout.sizes[1:3]) * 8
+        few = np.full(batch, -1)
+        few[[3, 40, 41]] = [0, 1, 3]
+        masks = [sample_mask("a_aug", 0.5, clf.layout, batch, np.random.default_rng(2)),
+                 Mask(None, "a_aug", 0.5, clf.layout, block=few)]
+        kept, peaks = [], []
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                for mask in masks:
+                    start = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    clf.forward_spliced(record, mask, imputed)     # the result is dropped
+                    current, peak = tracemalloc.get_traced_memory()
+                    kept.append(current - start)
+                    peaks.append(peak - start)
+        finally:
+            tracemalloc.stop()
+        assert kept[0] < bound and peaks[1] < bound, (kept, peaks, bound)
 
     @pytest.mark.parametrize("noise_mode", ["sub", "add"])
     def test_no_grad_noised_walk_is_byte_identical(self, noise_mode):
