@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import save_tensors
 from .dgm import PreparedBatch
 from .masks import sample_mask
 from .nets import READ_BATCH, require_positive
@@ -191,7 +190,9 @@ def mc_predict(bundle, x, n_samples: int, mode: str, rng) -> np.ndarray:
 
     ``pilot_mc`` draws a fresh mask and imputation per sample and runs the
     spliced pass; ``mc_dropout`` drops units at the bundle's dropout rate,
-    with batch norm on its running statistics. Neither changes the bundle.
+    with batch norm on its running statistics. Neither changes the bundle,
+    and each refuses a bundle not trained with its method (``pilot``,
+    ``dropout``).
 
     The input is walked in batches of ``nets.READ_BATCH`` rows, so memory is
     bounded by the batch, not by ``len(x)``. RNG order: batches are the outer
@@ -202,8 +203,12 @@ def mc_predict(bundle, x, n_samples: int, mode: str, rng) -> np.ndarray:
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if mode not in ("pilot_mc", "mc_dropout"):
+    method = {"pilot_mc": "pilot", "mc_dropout": "dropout"}.get(mode)
+    if method is None:
         raise ValueError(f"unknown mc mode {mode!r}")
+    if bundle.train_config.method != method:
+        raise ValueError(f"{mode} needs a bundle trained with method {method!r}; "
+                         f"this one was trained with {bundle.train_config.method!r}")
     if mode == "pilot_mc" and bundle.dgm is None:
         raise ValueError("pilot_mc needs a trained DGM in the bundle")
     out = np.empty((len(x), bundle.classifier.spec.num_classes))
@@ -276,9 +281,3 @@ def report_from_predictions(preds, labels, cfg: EvalConfig = EvalConfig(),
         entropy_counts=[int(c) for c in counts],
         meta=meta or {},
     )
-
-
-def save_predictions(path, preds: np.ndarray, labels, meta: dict | None = None) -> None:
-    """Store a prediction matrix in the tensor-container format."""
-    save_tensors(path, {"predictions": np.asarray(preds, dtype=np.float64),
-                        "labels": np.asarray(labels, dtype=np.int64)}, meta)

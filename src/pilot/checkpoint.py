@@ -3,8 +3,7 @@
 Layout: 4-byte magic, uint32 little-endian header length, UTF-8 JSON header,
 then the raw tensor payloads back to back. The header carries a mandatory
 ``version`` field, optional ``meta`` dict, and per-tensor name/dtype/shape/
-offset entries. Used for model checkpoints, raw-tensor datasets, and stored
-prediction matrices.
+offset entries. Used for model checkpoints and raw-tensor datasets.
 """
 
 from __future__ import annotations

@@ -237,6 +237,7 @@ def _he_init(rng, fan_in, shape, scale=2.0):
 
 class _ClassifierBase:
     spec: ClassifierSpec
+    layer_shapes: tuple     # per recorded layer, one example's shape: the input's first
     layout: RecordLayout
     registry: Registry
     # Stages that compute each example's row from that row alone, bit for
@@ -285,9 +286,7 @@ class _ClassifierBase:
 
     def _input_tensor(self, x) -> Tensor:
         x = np.asarray(x, dtype=np.float64)
-        if self.spec.kind == "mlp":
-            return Tensor(x.reshape(len(x), -1))
-        return Tensor(x.reshape((len(x),) + tuple(self.spec.input_shape)))
+        return Tensor(x.reshape((len(x),) + self.layer_shapes[0]))
 
     def _forward(self, x, train=False, dropout_rate=0.0, rng=None):
         a = self._input_tensor(x)
@@ -307,22 +306,24 @@ class _ClassifierBase:
         record = ActivationRecord(layers, self.layout)
         return record.logits, record
 
-    def _layer_constant(self, values, layer: int, shape, rows=slice(None)) -> Tensor:
-        # Imputed/noise inputs enter the graph as constants: gradient barrier
-        # by construction, regardless of what the caller hands in.
+    def _layer_constant(self, values, layer: int, rows) -> Tensor:
+        # The batch rows ``rows`` of ``values``' layer ``layer``, shaped as the
+        # layer. Imputed/noise inputs enter the graph as constants: gradient
+        # barrier by construction, regardless of what the caller hands in.
         values = values.data if isinstance(values, Tensor) else np.asarray(values)
-        return Tensor(values[rows, self.layout.layer_slice(layer)].reshape(shape))
+        return Tensor(values[rows, self.layout.layer_slice(layer)].reshape((-1,) + self.layer_shapes[layer]))
 
     def _resume(self, record: ActivationRecord, start: int, mask, substitute) -> ActivationRecord:
         """The one walk with substituted activations.
 
         Takes layer ``start`` from ``record``, which holds at least layers
         0..``start``, and recomputes every later layer from the one before.
-        At each layer with masked positions, ``substitute(layer, fresh,
-        rows)`` gives the values that replace ``fresh``, the fresh values of
-        the batch rows ``rows``, there. Layers before ``start`` are kept as
-        they are. Returns the record of all layers. It refuses batch norm,
-        whose running statistics it would never update.
+        At each layer with masked positions, ``substitute(layer, rows,
+        fresh)`` gives the values of the batch rows ``rows`` that replace
+        ``fresh`` there: the walk's fresh values of those rows, or ``None``
+        on the rowwise route, which reads no fresh values. Layers before
+        ``start`` are kept as they are. Returns the record of all layers. It
+        refuses batch norm, whose running statistics it would never update.
 
         The walk recomputes every row and selects between substituted and
         fresh values position by position. Without a graph (under
@@ -339,7 +340,7 @@ class _ClassifierBase:
             fresh = recorded[l] if l == start else self._stage(l, walked[-1])
             if mask.masked_rows(l).any():
                 fresh = ad.where(mask.layer(l).reshape(fresh.shape),
-                                 substitute(l, fresh, slice(None)), fresh)
+                                 substitute(l, slice(None), fresh), fresh)
             walked.append(fresh)
         return ActivationRecord(walked, self.layout)
 
@@ -352,7 +353,8 @@ class _ClassifierBase:
         its ``_head`` on those rows too, and its GEMM, as every later stage,
         over all rows, with the other rows' input from the record's buffer
         (:meth:`ActivationRecord.gemm_input`). Rows on the record keep its
-        values, bit-identical to recomputed ones.
+        values, bit-identical to recomputed ones. A masked row's layer is
+        substituted whole, so ``substitute`` gets ``None`` as ``fresh``.
         """
         n = self.layout.n_layers
         recorded = record.layers
@@ -362,10 +364,10 @@ class _ClassifierBase:
             rows = np.flatnonzero(first <= l)       # rows off the record at layer l
             resumed = first[rows] < l               # ... that left it before l
             new = rows[~resumed]
-            values = np.empty((len(rows),) + recorded[l].shape[1:], dtype=recorded[l].data.dtype)
+            values = np.empty((len(rows),) + self.layer_shapes[l], dtype=recorded[l].data.dtype)
             if resumed.any():
                 values[resumed] = self._stage(l, Tensor(replaced[l - 1][1])).data
-            values[~resumed] = substitute(l, Tensor(recorded[l].data[new]), new).data
+            values[~resumed] = substitute(l, new, None).data
             replaced[l] = (rows, values)
             l += 1
         gemm = l        # the first stage that is not row-local
@@ -376,7 +378,7 @@ class _ClassifierBase:
             fresh = self._stage(l, prev)
             new = np.flatnonzero(first == l)
             if len(new):
-                fresh.data[new] = substitute(l, Tensor(fresh.data[new]), new).data
+                fresh.data[new] = substitute(l, new, None).data
             walked.append(fresh)
         return ActivationRecord(walked, self.layout, replaced)
 
@@ -396,8 +398,8 @@ class _ClassifierBase:
         """
         masked = [l for l in range(self.layout.n_layers) if mask.masked_rows(l).any()]
 
-        def substitute(l, fresh, rows):
-            return self._layer_constant(imputed, l, fresh.shape, rows)
+        def substitute(l, rows, fresh):
+            return self._layer_constant(imputed, l, rows)
 
         start = min(masked, default=self.layout.n_layers)    # nothing masked: the record as it is
         out = self._resume(record, start, mask, substitute)
@@ -410,8 +412,8 @@ class _ClassifierBase:
         if mode not in ("add", "sub"):
             raise ValueError(f"noise mode must be 'add' or 'sub', got {mode!r}")
 
-        def substitute(l, fresh, rows):
-            nl = self._layer_constant(noise, l, fresh.shape, rows)
+        def substitute(l, rows, fresh):
+            nl = self._layer_constant(noise, l, rows)
             value = nl if mode == "sub" else fresh + nl
             return value if propagate else ad.stop_gradient(value)
 
@@ -442,6 +444,7 @@ class MLPClassifier(_ClassifierBase):
             self.weights.append(reg.param(f"clf.{i}.W", w))
             self.biases.append(reg.param(f"clf.{i}.b", np.zeros(widths[i + 1])))
         self.bn = self._batch_norms(spec.hidden)
+        self.layer_shapes = tuple((w,) for w in widths)
         self.layout = RecordLayout(tuple(widths))
 
     def _stage(self, layer, prev, train=False, dropout_rate=0.0, rng=None):
@@ -478,16 +481,11 @@ class CNNClassifier(_ClassifierBase):
         self.b3 = reg.param("clf.b3", np.zeros(spec.dense_width))
         self.w4 = reg.param("clf.w4", _he_init(rng, spec.dense_width, (spec.dense_width, spec.num_classes), 1.0))
         self.b4 = reg.param("clf.b4", np.zeros(spec.num_classes))
-        self.conv_shapes = [(c1, h1, w1), (c2, h2, w2)]
         self.bn = self._batch_norms((c1, c2, spec.dense_width))
-        sizes = (
-            int(np.prod(spec.input_shape)),
-            c1 * h1 * w1,
-            c2 * h2 * w2,
-            spec.dense_width,
-            spec.num_classes,
-        )
-        self.layout = RecordLayout(sizes)
+        self.layer_shapes = (tuple(spec.input_shape), (c1, h1, w1), (c2, h2, w2),
+                             (spec.dense_width,), (spec.num_classes,))
+        self.layout = RecordLayout(tuple(int(np.prod(s)) for s in self.layer_shapes))
+        self.conv_shapes = list(self.layer_shapes[1:3])
 
     def _head(self, layer, prev):
         if layer != 3 or prev.ndim == 2:

@@ -21,9 +21,7 @@ from pilot.calibrate import (
     mc_predict,
     nll,
     report_from_predictions,
-    save_predictions,
 )
-from pilot.checkpoint import load_tensors
 from pilot.data import synth_blobs
 from pilot.dgm import DGMConfig, PreparedBatch
 from pilot.masks import sample_mask
@@ -313,7 +311,8 @@ class TestMcPredict:
         # statistics: the bundle and its plain predictions do not move, and
         # at dropout rate 0 one draw is the plain prediction, bit for bit.
         ds, spec = small_world(kind, seed=47)
-        bundle, _ = train(spec, TrainConfig(method="batch_norm", epochs=1, batch_size=16, seed=0), ds)
+        spec = dataclasses.replace(spec, batch_norm=True)
+        bundle, _ = train(spec, TrainConfig(method="dropout", epochs=1, batch_size=16, seed=0), ds)
         clf, x = bundle.classifier, ds.x_test[:40]
         state = {k: v.tobytes() for k, v in clf.state_arrays().items()}
         plain = bundle.predict(x)
@@ -322,6 +321,20 @@ class TestMcPredict:
         assert bundle.predict(x).tobytes() == plain.tobytes()
         bundle.train_config = dataclasses.replace(bundle.train_config, dropout_rate=0.0)
         assert mc_predict(bundle, x, 1, "mc_dropout", np.random.default_rng(7)).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("method, mode", [
+        ("pilot", "mc_dropout"), ("vanilla", "mc_dropout"), ("batch_norm", "mc_dropout"),
+        ("dropout", "pilot_mc"), ("vanilla", "pilot_mc"),
+    ])
+    def test_refuses_a_bundle_not_trained_with_the_modes_method(self, method, mode):
+        # mc_dropout would drop units at a rate the run never used, and both
+        # reports carry the label of the paper's row for their method
+        ds, spec = small_world("mlp", seed=48)
+        cfg = TrainConfig(method=method, mask_mode="a_aug" if method == "pilot" else None,
+                          epochs=1, batch_size=16, seed=0)
+        bundle, _ = train(spec, cfg, ds, DGMConfig(latent_dim=4, hidden=(8,)))
+        with pytest.raises(ValueError, match=f"{mode} needs a bundle trained with method .*'{method}'"):
+            mc_predict(bundle, ds.x_test[:4], 1, mode, np.random.default_rng(0))
 
 
 class TestMcDrawContract:
@@ -484,17 +497,6 @@ class TestEvaluate:
         assert len(bins) == 11
         ent = (tmp_path / "entropy.csv").read_text().splitlines()
         assert ent[0] == "edge_lo,edge_hi,count"
-
-    def test_prediction_matrix_container(self, tmp_path):
-        rng = np.random.default_rng(14)
-        preds = rng.dirichlet(np.ones(3), size=20)
-        labels = rng.integers(0, 3, 20)
-        path = tmp_path / "preds.ptc"
-        save_predictions(path, preds, labels, {"model": "x"})
-        tensors, meta = load_tensors(path)
-        np.testing.assert_array_equal(tensors["predictions"], preds)
-        np.testing.assert_array_equal(tensors["labels"], labels)
-        assert meta["model"] == "x"
 
 
 class TestAccuracyHelper:

@@ -355,7 +355,7 @@ class TestDeterministicThreads:
 
 
 class TestReportLabels:
-    def test_evaluate_labels_reports_as_pilot_eval_does(self, tmp_path):
+    def test_evaluate_labels_reports_as_pilot_eval_does(self, tmp_path, capsys):
         cfg = write_config(tmp_path, method="pilot", epochs=1)
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
@@ -363,7 +363,7 @@ class TestReportLabels:
         bundle = TrainedBundle.load(ckpt)
         ds = cli.make_dataset(load_config(cfg))
         labels = []
-        for mode in ("plain", "pilot_mc", "mc_dropout"):
+        for mode in ("plain", "pilot_mc"):
             eval_out = tmp_path / mode
             assert main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
                          "--out", str(eval_out), "--mode", mode, "--mc-samples", "2"]) == 0
@@ -372,7 +372,13 @@ class TestReportLabels:
                               EvalConfig(mode=mode, mc_samples=1))
             assert report.model == label
             labels.append(label)
-        assert labels == ["pilot_a_aug", "pilot_mc_a_aug", "mc_dropout"]
+        assert labels == ["pilot_a_aug", "pilot_mc_a_aug"]
+        # a pilot run never used dropout: no report under the mc_dropout label
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
+                     "--out", str(tmp_path / "mc_dropout"), "--mode", "mc_dropout"]) == 1
+        assert "trained with 'pilot'" in capsys.readouterr().err
+        assert not (tmp_path / "mc_dropout").exists()
 
 
 def _write_container(path, header, payload=b"\0" * 8):

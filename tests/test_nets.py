@@ -113,6 +113,17 @@ class TestForwardRecord:
         for got, want in zip(record.layers, (x, a1, a2, a3, a4)):
             np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("spec_fn", [mlp_spec, cnn_spec])
+    def test_record_layers_have_the_layer_shapes(self, spec_fn):
+        rng = np.random.default_rng(12)
+        clf = build_classifier(spec_fn(), rng)
+        x = rng.standard_normal((5,) + tuple(clf.spec.input_shape))
+        _, record = clf.forward_record(x)
+        assert len(clf.layer_shapes) == len(record) == clf.layout.n_layers
+        for l, shape in enumerate(clf.layer_shapes):
+            assert record.layer(l).shape == (5,) + shape
+            assert clf.layout.sizes[l] == np.prod(shape)
+
     def test_input_recorded_exactly(self):
         rng = np.random.default_rng(4)
         clf = build_classifier(mlp_spec(), rng)
@@ -215,11 +226,12 @@ class TestInferenceSplice:
         return clf, x, record, imputed
 
     @pytest.mark.parametrize("spec_fn", [mlp_spec, cnn_spec])
-    @pytest.mark.parametrize("mode", ["x_drop", "x_aug", "a_drop", "a_aug"])
+    @pytest.mark.parametrize("mode", ["x_drop", "x_aug", "a_drop", "a_aug", "last"])
     def test_no_grad_splice_is_byte_identical_to_dense_recompute(self, spec_fn, mode):
+        # "last" starts the rowwise route at a dense layer, past the conv stages
         clf, _, record, imputed = self._world(spec_fn)
         for seed in range(4):
-            mask = sample_mask(mode, 0.5, clf.layout, 13, np.random.default_rng(seed))
+            mask = self._mask(mode, 0.5, clf.layout, 13, seed)
             dense_logits, dense = clf.forward_spliced(record, mask, imputed)   # graph: every row
             with ad.no_grad():
                 logits, spliced = clf.forward_spliced(record, mask, imputed)
