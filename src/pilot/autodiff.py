@@ -45,7 +45,6 @@ class NumericsError(ArithmeticError):
 
 
 _grad_enabled = True
-_nan_guard = False
 
 
 @contextlib.contextmanager
@@ -63,12 +62,6 @@ def no_grad():
 def grad_enabled() -> bool:
     """Whether operations record a graph: False inside :func:`no_grad`."""
     return _grad_enabled
-
-
-def set_nan_guard(enabled: bool) -> None:
-    """Toggle per-op finiteness checks during backward (debug aid)."""
-    global _nan_guard
-    _nan_guard = bool(enabled)
 
 
 class Tensor:
@@ -121,10 +114,6 @@ class Tensor:
                 continue
             node._backward_fn(node.grad)
             node.grad = None
-            if _nan_guard:
-                for parent in node._parents:
-                    if parent.grad is not None and not np.all(np.isfinite(parent.grad)):
-                        raise NumericsError(node._op, "gradient")
 
     # -- operator sugar ----------------------------------------------------
 
@@ -235,8 +224,6 @@ def _make(data: np.ndarray, op: str, parents, backward_fn) -> Tensor:
     """The op's output; recorded (numbered, with its parents and rule) when
     gradients are on and some parent requires one. Runs once per op, so it
     avoids a generator and keyword arguments."""
-    if _nan_guard and np.any(np.isnan(data)):
-        raise NumericsError(op, "forward")
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:

@@ -174,7 +174,7 @@ def cmd_eval(args) -> int:
     ecfg = cfgmod.eval_config(cfg)
     report = evaluate(bundle, dataset.x_test, dataset.y_test, ecfg)
     report.meta = {
-        "arch": bundle.spec.kind,
+        "arch": bundle.classifier.spec.kind,
         "dataset": cfg["dataset.name"] or cfg["dataset.kind"],
         "eval_mode": ecfg.mode,
     }

@@ -161,27 +161,26 @@ def set_key(cfg: dict, key: str, raw: str) -> None:
     cfg[key] = _parse_value(key, raw)
 
 
+def _format_value(value) -> str:
+    """A config value as a config file writes it: ``true``/``false``, and a
+    tuple's items joined by commas."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def snapshot(cfg: dict) -> str:
     """Serialise a resolved config as sorted key=value lines."""
-    lines = []
-    for key in sorted(cfg):
-        value = cfg[key]
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key}={value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={_format_value(cfg[key])}\n" for key in sorted(cfg))
 
 
 def config_help() -> str:
     lines = ["configuration keys (key=value lines, # comments allowed):"]
     for key in sorted(SCHEMA):
         opt = SCHEMA[key]
-        default = opt.default
-        if isinstance(default, tuple):
-            default = ",".join(str(v) for v in default)
-        lines.append(f"  {key:<36} {opt.kind:<6} default={default!s:<12} {opt.help}")
+        lines.append(f"  {key:<36} {opt.kind:<6} default={_format_value(opt.default):<12} {opt.help}")
     return "\n".join(lines)
 
 

@@ -146,11 +146,6 @@ def augment_data(x: np.ndarray, p: float, rng) -> np.ndarray:
 # -- single steps ------------------------------------------------------------------
 
 
-def _finite_or_raise(value: float, label: str, context: dict):
-    if not np.isfinite(value):
-        raise NumericsError(label, f"step diagnostics: {context}")
-
-
 def _descend(loss: Tensor, opt: Adam, cfg: TrainConfig, other: Adam | None = None,
              leak: str = "") -> float:
     """Backpropagate ``loss`` and take one clipped Adam step on ``opt``'s
@@ -167,12 +162,17 @@ def _descend(loss: Tensor, opt: Adam, cfg: TrainConfig, other: Adam | None = Non
     return opt.step(max_norm=cfg.clip_norm)
 
 
-def _classifier_update(opt: Adam, logits: Tensor, loss: Tensor, y, cfg: TrainConfig) -> dict:
-    """The shared tail of the classifier-only steps."""
-    _finite_or_raise(float(loss.data), "classifier loss", {"method": cfg.method})
-    norm = _descend(loss, opt, cfg)
-    acc = float((logits.data.argmax(axis=1) == y).mean())
-    return {"loss_act": float(loss.data), "grad_norm_psi": norm, "train_acc": acc}
+def _classifier_update(opt: Adam, scores: np.ndarray, loss: Tensor, y, cfg: TrainConfig,
+                       other: Adam | None = None, leak: str = "") -> dict:
+    """Every method's classifier tail: check ``loss`` is finite, descend on
+    it (see :func:`_descend` for ``other`` and ``leak``) and report it with
+    the accuracy of ``scores``, the logits' values."""
+    loss_act = float(loss.data)
+    if not np.isfinite(loss_act):
+        raise NumericsError("classifier loss", f"step diagnostics: {dict(method=cfg.method)}")
+    norm = _descend(loss, opt, cfg, other, leak)
+    acc = float((scores.argmax(axis=1) == y).mean())
+    return {"loss_act": loss_act, "grad_norm_psi": norm, "train_acc": acc}
 
 
 def baseline_step(classifier, opt, x, y, cfg: TrainConfig, rng) -> dict:
@@ -184,7 +184,7 @@ def baseline_step(classifier, opt, x, y, cfg: TrainConfig, rng) -> dict:
     loss = cross_entropy(logits, y)
     if cfg.method == "l2":
         loss = loss + l2_penalty(classifier, cfg.l2_lambda)
-    return _classifier_update(opt, logits, loss, y, cfg)
+    return _classifier_update(opt, logits.data, loss, y, cfg)
 
 
 def noise_step(classifier, opt, x, y, cfg: TrainConfig, rng_mask, rng_noise) -> dict:
@@ -195,7 +195,7 @@ def noise_step(classifier, opt, x, y, cfg: TrainConfig, rng_mask, rng_noise) -> 
     noise = rng_noise.normal(0.0, math.sqrt(cfg.noise_variance), size=(len(x), classifier.layout.total))
     logits = classifier.forward_noised(x, mask, noise, mode, cfg.propagate_noise_gradients)
     loss = cross_entropy(logits, y)
-    return _classifier_update(opt, logits, loss, y, cfg)
+    return _classifier_update(opt, logits.data, loss, y, cfg)
 
 
 def _spliced_loss(classifier, dgm: ActivationDGM, record, a_flat, mask, shared, y,
@@ -228,7 +228,6 @@ def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
     """
     opt_dgm.zero_grad()
     logits, record = classifier.forward_record(x)
-    acc = float((logits.data.argmax(axis=1) == y).mean())
     a_flat = record.flatten()
     dgm.standardizer.update(a_flat)
 
@@ -236,28 +235,19 @@ def pilot_step(classifier, dgm: ActivationDGM, opt_psi: Adam, opt_dgm: Adam,
     # One prior pass for the step's mask feeds both its imputation and the ELBO.
     shared = dgm.condition(a_flat, mask)
     loss_act = _spliced_loss(classifier, dgm, record, a_flat, mask, shared, y, cfg, rng_mask, rng_z)
+    scores = logits.data
     del logits, record
-    _finite_or_raise(float(loss_act.data), "classifier loss", {"method": "pilot"})
-
-    norm_psi = _descend(loss_act, opt_psi, cfg, opt_dgm,
-                        "classifier loss leaked gradient into DGM parameters")
-    loss_act = float(loss_act.data)
+    stats = _classifier_update(opt_psi, scores, loss_act, y, cfg, opt_dgm,
+                               "classifier loss leaked gradient into DGM parameters")
+    del loss_act        # the classifier's graph, before the ELBO's forward pass
 
     lam, diag = dgm.lambda_elbo(a_flat, mask, rng=rng_z, prior=shared)
     loss_dgm = -lam
-    norm_dgm = _descend(loss_dgm, opt_dgm, cfg, opt_psi,
-                        "DGM loss leaked gradient into classifier parameters")
-
-    return {
-        "loss_act": loss_act,
-        "loss_dgm": float(loss_dgm.data),
-        "kl": diag["kl"],
-        "recon": diag["recon"],
-        "penalty": diag["penalty"],
-        "grad_norm_psi": norm_psi,
-        "grad_norm_dgm": norm_dgm,
-        "train_acc": acc,
-    }
+    stats["grad_norm_dgm"] = _descend(loss_dgm, opt_dgm, cfg, opt_psi,
+                                      "DGM loss leaked gradient into classifier parameters")
+    stats.update(loss_dgm=float(loss_dgm.data), kl=diag["kl"], recon=diag["recon"],
+                 penalty=diag["penalty"])
+    return stats
 
 
 # -- logs and bundles --------------------------------------------------------------
@@ -308,22 +298,18 @@ def config_from_meta(kind, values: dict):
 
 
 class TrainedBundle:
-    """A trained classifier plus (for the joint method) its activation DGM."""
+    """A trained classifier plus (for the joint method) its activation DGM,
+    and how they were trained; each model carries its own spec or config."""
 
-    def __init__(self, classifier, spec: ClassifierSpec, train_config: TrainConfig,
-                 dgm: ActivationDGM | None = None, dgm_config: DGMConfig | None = None):
+    def __init__(self, classifier, train_config: TrainConfig, dgm: ActivationDGM | None = None):
         self.classifier = classifier
-        self.spec = spec
         self.train_config = train_config
         self.dgm = dgm
-        self.dgm_config = dgm_config
 
     @property
     def label(self) -> str:
         cfg = self.train_config
-        if cfg.method == "pilot":
-            return f"pilot_{cfg.mask_mode}"
-        if cfg.method in ("add_noise", "sub_noise"):
+        if cfg.method in MASKED_METHODS:
             return f"{cfg.method.split('_')[0]}_{cfg.mask_mode}"
         return cfg.method
 
@@ -334,13 +320,13 @@ class TrainedBundle:
         tensors = dict(self.classifier.state_arrays())
         meta = {
             "kind": "pilot-bundle",
-            "spec": dataclasses.asdict(self.spec),
+            "spec": dataclasses.asdict(self.classifier.spec),
             "train_config": dataclasses.asdict(self.train_config),
             "model_label": self.label,
         }
         if self.dgm is not None:
             tensors.update(self.dgm.state_arrays())
-            meta["dgm_config"] = dataclasses.asdict(self.dgm_config)
+            meta["dgm_config"] = dataclasses.asdict(self.dgm.config)
         save_tensors(path, tensors, meta)
 
     @classmethod
@@ -377,7 +363,7 @@ class TrainedBundle:
                     raise ContainerError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                                          f"the model needs {arr.shape}")
             model.load_state(tensors)
-        return cls(classifier, spec, train_config, dgm, dgm_config)
+        return cls(classifier, train_config, dgm)
 
 
 # -- training loop ----------------------------------------------------------------------
@@ -396,11 +382,16 @@ def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
     """Train per ``cfg.method`` over shuffled minibatches; deterministic under
     seed. Returns ``(TrainedBundle, TrainLog)``. ``epoch_callback(epoch,
     bundle, stats)``, if given, runs after each epoch's log row is appended.
-    The ``batch_norm`` method switches ``spec.batch_norm`` on."""
-    if len(dataset.x_train) == 0:
+    The ``batch_norm`` method switches ``spec.batch_norm`` on; batch norm
+    refuses a run whose batches would include one of a single row."""
+    n = len(dataset.x_train)
+    if n == 0:
         raise ValueError("dataset is empty")
     if cfg.method == "batch_norm" and not spec.batch_norm:
         spec = dataclasses.replace(spec, batch_norm=True)
+    if spec.batch_norm and (cfg.batch_size == 1 or n % cfg.batch_size == 1):
+        raise ValueError(f"batch norm needs at least 2 rows in every training batch, but {n} "
+                         f"training rows in batches of {cfg.batch_size} leave a batch of 1 row")
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(6)
     rng_init, rng_dgm_init, rng_shuffle, rng_mask, rng_z, rng_aux = \
@@ -417,11 +408,10 @@ def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
                             _dgm_layout(classifier, cfg))
         opt_dgm = Adam(dgm.parameters(), cfg.lr_dgm, dgm.registry.row_counts())
 
-    n = len(dataset.x_train)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     freeze_after = max(1, int(dgm_config.standardize_warmup * cfg.epochs * steps_per_epoch)) if dgm else 0
 
-    bundle = TrainedBundle(classifier, spec, cfg, dgm, dgm_config if dgm else None)
+    bundle = TrainedBundle(classifier, cfg, dgm)
     log = TrainLog()
     step_count = 0
     for epoch in range(1, cfg.epochs + 1):

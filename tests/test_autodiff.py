@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pilot import autodiff as ad
-from pilot.autodiff import PRIMITIVES, NumericsError, ShapeError, Tensor
+from pilot.autodiff import PRIMITIVES, ShapeError, Tensor
 
 from helpers import check_gradients
 
@@ -284,17 +284,6 @@ class TestErrorsAndGuards:
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ShapeError, match="add"):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
-
-    def test_nan_guard_reports_op(self):
-        ad.set_nan_guard(True)
-        try:
-            with np.errstate(divide="ignore"):
-                x = Tensor([0.0], requires_grad=True)
-                loss = ad.log(x).sum()  # -inf forward is legal; gradient 1/0 trips the guard
-                with pytest.raises(NumericsError, match="log"):
-                    loss.backward()
-        finally:
-            ad.set_nan_guard(False)
 
     def test_no_grad_skips_graph(self):
         x = Tensor([1.0], requires_grad=True)

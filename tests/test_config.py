@@ -80,6 +80,13 @@ class TestParse:
             assert key in text
         assert "default=0.5" in text
 
+    def test_help_writes_defaults_as_a_config_file_does(self):
+        lines = {line.split()[0]: line for line in config_help().splitlines()[1:]}
+        for entry in snapshot(default_config()).splitlines():
+            key, value = entry.split("=", 1)
+            assert f" default={value}" in lines[key]
+        assert "default=true" in lines["dgm.standardize"]
+
 
 class TestBuilders:
     def test_classifier_spec_from_config(self):
@@ -94,7 +101,7 @@ class TestBuilders:
         cfg = parse_config("train.method=batch_norm\ntrain.epochs=1\ntrain.batch_size=32\n")
         spec = classifier_spec(cfg, (8,), 3)
         bundle, _ = train(spec, train_config(cfg), synth_blobs(3, 20, 8, 3.0, seed=0))
-        assert bundle.spec.batch_norm and bundle.classifier.bn is not None
+        assert bundle.classifier.spec.batch_norm and bundle.classifier.bn is not None
 
     def test_train_config_mask_only_when_needed(self):
         cfg = parse_config("train.method=vanilla\n")

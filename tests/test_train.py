@@ -1,6 +1,7 @@
 """Trainer: losses, gradient separation, noise baselines, augmentation, loops."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -152,6 +153,34 @@ class TestGradientSeparation:
             assert any(not np.array_equal(a, p.data) for a, p in zip(dgm_before, dgm.parameters()))
             # re-run each loss backward in isolation: the other group's bytes never move
             # (updates above came only from each group's own optimiser)
+
+    @pytest.mark.parametrize("leaking", ["classifier", "dgm"])
+    def test_validation_catches_a_leaking_loss_in_the_step(self, monkeypatch, leaking):
+        # each loss picks up a zero-valued term in the other group's parameter:
+        # only validate_separation notices, before that group's Adam step
+        ds, clf, dgm = self._setup(seed=5)
+        if leaking == "classifier":
+            real_ce = cross_entropy
+            monkeypatch.setattr(sys.modules["pilot.train"], "cross_entropy",
+                                lambda logits, y: real_ce(logits, y) + 0.0 * dgm.parameters()[0].sum())
+            message = "classifier loss leaked gradient into DGM parameters"
+        else:
+            real_elbo = ActivationDGM.lambda_elbo
+
+            def leaky_elbo(self, *args, **kwargs):
+                lam, diag = real_elbo(self, *args, **kwargs)
+                return lam + 0.0 * clf.parameters()[0].sum(), diag
+            monkeypatch.setattr(ActivationDGM, "lambda_elbo", leaky_elbo)
+            message = "DGM loss leaked gradient into classifier parameters"
+
+        def step(cfg):
+            return pilot_step(clf, dgm, Adam(clf.parameters(), cfg.lr_classifier),
+                              Adam(dgm.parameters(), cfg.lr_dgm), ds.x_train[:16], ds.y_train[:16],
+                              cfg, np.random.default_rng(1), np.random.default_rng(2))
+        cfg = TrainConfig(method="pilot", mask_mode="a_aug")
+        assert np.isfinite(step(cfg)["loss_act"])
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            step(dataclasses.replace(cfg, validate_separation=True))
 
 
 def _two_pass_pilot_step(clf, dgm, opt_psi, opt_dgm, x, y, cfg, rng_mask, rng_z):
@@ -375,6 +404,16 @@ class TestTrainLoop:
             train(dataclasses.replace(spec, batch_norm=True), cfg, ds,
                   DGMConfig(latent_dim=4, hidden=(8,)), checkpoint_dir=tmp_path)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("rows,batch_size", [(33, 32), (8, 1)])
+    def test_batch_norm_refuses_a_one_row_batch_before_any_step(self, rows, batch_size):
+        ds, spec = blob_setup(seed=44)
+        ds.x_train, ds.y_train = ds.x_train[:rows], ds.y_train[:rows]
+        cfg = TrainConfig(method="batch_norm", epochs=1, batch_size=batch_size, seed=7)
+        epochs = []
+        with pytest.raises(ValueError, match=f"{rows} training rows in batches of {batch_size}"):
+            train(spec, cfg, ds, epoch_callback=lambda *args: epochs.append(args))
+        assert epochs == []
 
     def test_empty_dataset_rejected(self):
         ds, spec = blob_setup()
