@@ -4,8 +4,10 @@ A ``Tensor`` wraps an ndarray and, when gradients are enabled, remembers the
 op and parents that produced it. ``Tensor.backward()`` walks the recorded
 graph once, newest node first (creation order is topological), accumulating
 gradients additively across fan-out. Only the primitives in
-:data:`PRIMITIVES` carry backward rules; every loss in the package is
-composed from them.
+:data:`PRIMITIVES` carry backward rules. Each dense layer (:func:`linear`),
+each biased convolution (:func:`conv2d`) and the classifier's loss
+(:func:`cross_entropy`) is one primitive that replays the float operations
+of its composition; the other losses are composed from primitives.
 
 A ``Tensor`` keeps float32 or float64 data as given and turns any other
 input into float64. A primitive works in its operands' dtype; a non-``Tensor``
@@ -327,6 +329,31 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b``, a dense layer as one graph node.
+
+    The bias is added in place into the product, and backward reduces the
+    gradient over the batch for ``b``: the same GEMMs, add and reduction
+    as :func:`matmul` followed by :func:`add`, so values and gradients are
+    bit-identical to that composition's.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError("linear", x.shape, w.shape, b.shape)
+    data = x.data @ w.data
+    data += b.data
+
+    def backward(g):
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0), fresh=True)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T, fresh=True)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g, fresh=True)
+
+    return _make(data, "linear", (x, w, b), backward)
+
+
 def block_table(s, d, sizes) -> Tensor:
     """``s + sizes[:, None] * d``: the block row sums of a weight whose block l
     holds ``sizes[l]`` rows that move together, ``s`` their sums at the start
@@ -404,12 +431,14 @@ def _patches(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
 
 
-def conv2d(x, w, padding: int = 0) -> Tensor:
+def conv2d(x, w, b=None, padding: int = 0) -> Tensor:
     """2-D convolution, stride 1, ``padding`` zero-pad pixels each side.
 
-    ``x`` is (N, C, H, W), ``w`` is (O, C, kh, kw); the output is a
-    contiguous (N, O, OH, OW). Bias is not fused; add a broadcast tensor
-    afterwards.
+    ``x`` is (N, C, H, W), ``w`` is (O, C, kh, kw) and the bias ``b``, if
+    given, (O,); the output is a contiguous (N, O, OH, OW). The bias is
+    added in place into the output, and its gradient is the upstream one
+    summed over every axis but the channel's: the values and gradients of
+    adding it as a broadcast (1, O, 1, 1) tensor afterwards.
 
     Each pass walks the batch in blocks of :data:`CONV_BLOCK_ROWS` rows. A
     block's input becomes (rows, C*kh*kw, OH*OW) patch matrices (im2col), and
@@ -424,6 +453,9 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
     x, w = _pair(x, w)
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
+    b = None if b is None else as_tensor(b)
+    if b is not None and b.shape != w.shape[:1]:
+        raise ShapeError("conv2d", w.shape, b.shape)
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     oh = h + 2 * padding - kh + 1
@@ -440,8 +472,12 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
     out_rows = out.reshape(n, o, oh * ow)
     for rows in blocks:
         np.matmul(w2, _patches(xp[rows], kh, kw), out=out_rows[rows])
+    if b is not None:
+        out += b.data.reshape(1, o, 1, 1)
 
     def backward(g):
+        if b is not None and b.requires_grad:
+            _accumulate(b, g.sum(axis=(0, 2, 3)), fresh=True)
         g_rows = g.reshape(n, o, oh * ow)
         dw = np.zeros_like(w2) if w.requires_grad else None
         dxp = np.zeros_like(xp) if x.requires_grad else None
@@ -463,7 +499,7 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
             else:
                 _accumulate(x, dxp, fresh=True)
 
-    return _make(out, "conv2d", (x, w), backward)
+    return _make(out, "conv2d", (x, w) if b is None else (x, w, b), backward)
 
 
 def _max_of_slices(a: np.ndarray, axis: int, k: int) -> np.ndarray:
@@ -605,6 +641,41 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _make(y, "softmax", (x,), backward)
 
 
+def cross_entropy(logits, labels) -> Tensor:
+    """Mean negative log-likelihood of the integer ``labels`` under the
+    softmax of the (N, C) ``logits``, as one graph node.
+
+    It replays the float operations of the stable log-sum-exp composition,
+    in the logits' dtype: each row is shifted by its maximum, ``lse`` is
+    the log of the row sum ``s`` of ``exp(shifted)``, and the loss is the
+    mean of the labels' ``shifted - lse``, times -1. Backward replays that
+    composition's rules: with ``g2 = (g * -1.0) / N``, the logits get
+    ``(-g2 / s) * exp(shifted)``, plus ``g2`` at each label. Off the labels
+    the composition also adds ``g2 * 0.0``, which is ``-0.0`` for a
+    positive ``g`` and then changes nothing.
+    """
+    logits = as_tensor(logits)
+    labels = np.asarray(labels)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise ShapeError("cross_entropy", logits.shape, labels.shape)
+    n, c = logits.shape
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"label out of range [0, {c})")
+    rows = np.arange(n)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    data = (shifted[rows, labels] - np.log(s)[:, 0]).mean() * -1.0
+
+    def backward(g):
+        g2 = (g * -1.0) / n
+        d = (-g2 / s) * e
+        d[rows, labels] += g2
+        _accumulate(logits, d, fresh=True)
+
+    return _make(data, "cross_entropy", (logits,), backward)
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     try:
@@ -683,6 +754,7 @@ PRIMITIVES = {
     "mul": mul,
     "div": div,
     "matmul": matmul,
+    "linear": linear,
     "block_table": block_table,
     "grouped_linear": grouped_linear,
     "conv2d": conv2d,
@@ -695,6 +767,7 @@ PRIMITIVES = {
     "square": square,
     "sqrt": sqrt,
     "softmax": softmax,
+    "cross_entropy": cross_entropy,
     "concat": concat,
     "narrow": narrow,
     "reshape": reshape,

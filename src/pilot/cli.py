@@ -24,7 +24,7 @@ from .checkpoint import ContainerError
 from .config import ConfigError
 from .data import DataError, Dataset, load_cifar10, raw_tensor_dataset, synth_blobs
 from .references import reference_for
-from .train import TrainedBundle, train
+from .train import TrainedBundle, train, training_spec
 
 
 class UsageError(Exception):
@@ -153,6 +153,7 @@ def cmd_train(args) -> int:
     tcfg = cfgmod.train_config(cfg)
     dcfg = cfgmod.dgm_config(cfg) if tcfg.method == "pilot" else None
     cfgmod.eval_config(cfg)     # an eval setting it rejects fails here, not after training
+    training_spec(spec, tcfg, len(dataset.x_train))     # so does a run train() refuses
 
     out = Path(cfg["out.dir"])
     ckpt_dir = out / "checkpoints"

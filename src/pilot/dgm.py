@@ -253,17 +253,18 @@ class _DenseStack:
 
     def from_first(self, h, groups=None) -> Tensor:
         """The stack from :meth:`first`'s pre-activation ``h`` on: the first
-        layer's bias, relu and matmul through each hidden layer, then the
-        output layer. With ``groups``, ``(rows, cols)`` pairs such as
-        :func:`block_groups` gives, only the output positions they name, as
-        :func:`autodiff.grouped_linear`'s 1-D tensor."""
+        layer's bias and relu, each later hidden layer as the relu of one
+        :func:`autodiff.linear`, then the output layer. With ``groups``,
+        ``(rows, cols)`` pairs such as :func:`block_groups` gives, only the
+        output positions they name, as :func:`autodiff.grouped_linear`'s 1-D
+        tensor."""
         *hidden, out = self.weights
-        for w, b in zip(hidden, self.biases):
-            h = ad.matmul(ad.relu(h + b), w)
-        h = ad.relu(h + self.biases[-2])
+        h = ad.relu(h + self.biases[0])
+        for w, b in zip(hidden, self.biases[1:]):
+            h = ad.relu(ad.linear(h, w, b))
         if groups is not None:
             return ad.grouped_linear(h, out, self.biases[-1], groups)
-        return ad.matmul(h, out) + self.biases[-1]
+        return ad.linear(h, out, self.biases[-1])
 
     def __call__(self, x: np.ndarray, mask: Mask, z: Tensor | None = None, groups=None) -> Tensor:
         """The stack on the input ``[x, mask.values, z]`` (no ``z``:

@@ -449,7 +449,7 @@ class MLPClassifier(_ClassifierBase):
 
     def _stage(self, layer, prev, train=False, dropout_rate=0.0, rng=None):
         h = prev if layer == 1 else dropout_mask_apply(ad.relu(prev), dropout_rate, rng)
-        z = ad.matmul(h, self.weights[layer - 1]) + self.biases[layer - 1]
+        z = ad.linear(h, self.weights[layer - 1], self.biases[layer - 1])
         if self.bn is not None and layer < self.layout.n_layers - 1:
             z = self.bn[layer - 1].apply(z, train)
         return z
@@ -496,15 +496,15 @@ class CNNClassifier(_ClassifierBase):
 
     def _stage(self, layer, prev, train=False, dropout_rate=0.0, rng=None):
         if layer == 1:
-            z = ad.conv2d(prev, self.w1) + ad.reshape(self.b1, (1, -1, 1, 1))
+            z = ad.conv2d(prev, self.w1, self.b1)
         elif layer == 2:
-            z = ad.conv2d(ad.relu(prev), self.w2) + ad.reshape(self.b2, (1, -1, 1, 1))
+            z = ad.conv2d(ad.relu(prev), self.w2, self.b2)
         elif layer == 3:
             h = dropout_mask_apply(self._head(3, prev), dropout_rate, rng)
-            z = ad.matmul(h, self.w3) + self.b3
+            z = ad.linear(h, self.w3, self.b3)
         elif layer == 4:
             h = dropout_mask_apply(ad.relu(prev), dropout_rate, rng)
-            z = ad.matmul(h, self.w4) + self.b4
+            z = ad.linear(h, self.w4, self.b4)
         else:
             raise ValueError(f"cnn has no stage {layer}")
         if self.bn is not None and layer < self.layout.n_layers - 1:

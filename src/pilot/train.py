@@ -73,17 +73,9 @@ class TrainConfig:
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of the true labels, stable log-sum-exp."""
-    labels = np.asarray(labels)
-    n, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"label out of range [0, {c})")
-    shifted = logits - Tensor(logits.data.max(axis=1, keepdims=True))
-    lse = ad.log(ad.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    return -(Tensor(onehot) * logp).sum(axis=1).mean()
+    """Mean negative log-likelihood of the true labels
+    (:func:`autodiff.cross_entropy`, looked up when called)."""
+    return ad.cross_entropy(logits, labels)
 
 
 def l2_penalty(classifier, lam: float) -> Tensor:
@@ -376,15 +368,11 @@ def _dgm_layout(classifier, cfg: TrainConfig):
 
 
 
-def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
-          dgm_config: DGMConfig | None = None, checkpoint_dir=None,
-          epoch_callback=None):
-    """Train per ``cfg.method`` over shuffled minibatches; deterministic under
-    seed. Returns ``(TrainedBundle, TrainLog)``. ``epoch_callback(epoch,
-    bundle, stats)``, if given, runs after each epoch's log row is appended.
-    The ``batch_norm`` method switches ``spec.batch_norm`` on; batch norm
-    refuses a run whose batches would include one of a single row."""
-    n = len(dataset.x_train)
+def training_spec(spec: ClassifierSpec, cfg: TrainConfig, n: int) -> ClassifierSpec:
+    """The spec :func:`train` builds its classifier from, for ``n``
+    training rows: ``spec``, with batch norm switched on for the
+    ``batch_norm`` method. Raises ``ValueError`` for a run ``train`` refuses before its
+    first step: no rows, or batch norm with a training batch of one row."""
     if n == 0:
         raise ValueError("dataset is empty")
     if cfg.method == "batch_norm" and not spec.batch_norm:
@@ -392,6 +380,19 @@ def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
     if spec.batch_norm and (cfg.batch_size == 1 or n % cfg.batch_size == 1):
         raise ValueError(f"batch norm needs at least 2 rows in every training batch, but {n} "
                          f"training rows in batches of {cfg.batch_size} leave a batch of 1 row")
+    return spec
+
+
+def train(spec: ClassifierSpec, cfg: TrainConfig, dataset,
+          dgm_config: DGMConfig | None = None, checkpoint_dir=None,
+          epoch_callback=None):
+    """Train per ``cfg.method`` over shuffled minibatches; deterministic under
+    seed. Returns ``(TrainedBundle, TrainLog)``. ``epoch_callback(epoch,
+    bundle, stats)``, if given, runs after each epoch's log row is appended.
+    The classifier is built by :func:`training_spec`, which also holds the
+    refusals that come before the first step."""
+    n = len(dataset.x_train)
+    spec = training_spec(spec, cfg, n)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(6)
     rng_init, rng_dgm_init, rng_shuffle, rng_mask, rng_z, rng_aux = \

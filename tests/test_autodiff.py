@@ -83,6 +83,25 @@ class TestPrimitiveGradients:
             return [x, w], lambda: ad.square(ad.conv2d(x, w, padding=1)).mean()
         self._run(case)
 
+    def test_conv2d_biased(self):
+        def case(rng):
+            x, w, b = _param(rng, 1, 2, 4, 4), _param(rng, 2, 2, 3, 3), _param(rng, 2)
+            return [x, w, b], lambda: ad.square(ad.conv2d(x, w, b, padding=1)).mean()
+        self._run(case)
+
+    def test_linear(self):
+        def case(rng):
+            x, w, b = _param(rng, 3, 4), _param(rng, 4, 2), _param(rng, 2)
+            return [x, w, b], lambda: ad.square(ad.linear(x, w, b)).sum()
+        self._run(case)
+
+    def test_cross_entropy(self):
+        def case(rng):
+            x = _param(rng, 6, 4)
+            labels = rng.integers(0, 4, size=6)
+            return [x], lambda: ad.cross_entropy(x, labels) * 3.0
+        self._run(case)
+
     def test_max_pool2d(self):
         def case(rng):
             x = _param(rng, 2, 3, 4, 4)
@@ -299,10 +318,11 @@ FLOAT32_CASES = {
     "mul": ([(3, 4), (1, 4)], ad.mul),
     "div": ([(3, 4), (4,)], lambda a, b: ad.div(a, ad.exp(b))),
     "matmul": ([(3, 4), (4, 2)], ad.matmul),
+    "linear": ([(3, 4), (4, 2), (2,)], ad.linear),
     "block_table": ([(3, 4)], lambda d: ad.block_table(np.ones((3, 4), np.float32), d, np.array([2, 1, 5]))),
     "grouped_linear": ([(5, 3), (3, 6), (6,)], lambda h, w, b: ad.grouped_linear(
         h, w, b, [(np.array([4, 0]), slice(0, 4)), (np.array([2]), slice(4, 6))])),
-    "conv2d": ([(2, 2, 5, 5), (3, 2, 3, 3)], lambda x, w: ad.conv2d(x, w, padding=1)),
+    "conv2d": ([(2, 2, 5, 5), (3, 2, 3, 3), (3,)], lambda x, w, b: ad.conv2d(x, w, b, padding=1)),
     "max_pool2d": ([(2, 2, 4, 4)], lambda x: ad.max_pool2d(x, 2)),
     "relu": ([(3, 4)], ad.relu),
     "exp": ([(3, 4)], ad.exp),
@@ -312,6 +332,7 @@ FLOAT32_CASES = {
     "square": ([(3, 4)], ad.square),
     "sqrt": ([(3, 4)], lambda x: ad.sqrt(ad.square(x) + 1.0)),
     "softmax": ([(3, 4)], lambda x: ad.softmax(x, axis=1)),
+    "cross_entropy": ([(3, 4)], lambda x: ad.cross_entropy(x, np.array([0, 3, 1]))),
     "concat": ([(3, 4), (3, 2)], lambda a, b: ad.concat([a, b], axis=1)),
     "narrow": ([(3, 6)], lambda x: ad.narrow(x, 1, 2, 3)),
     "reshape": ([(3, 4)], lambda x: ad.reshape(x, (2, 6))),
@@ -507,6 +528,94 @@ class TestGradientBookkeeping:
                                    rtol=1e-15)
         with ad.no_grad():
             assert not hasattr(ad.exp(x), "_seq")            # unrecorded nodes get no number
+
+
+# -- fused primitives against the compositions they replace ------------------------------
+
+
+def _linear_composed(x, w, b):
+    return ad.matmul(x, w) + b
+
+
+def _conv2d_composed(x, w, b):
+    return ad.conv2d(x, w, padding=1) + ad.reshape(b, (1, -1, 1, 1))
+
+
+def _cross_entropy_composed(labels):
+    def loss(logits):
+        n, c = logits.shape
+        shifted = logits - Tensor(logits.data.max(axis=1, keepdims=True))
+        lse = ad.log(ad.exp(shifted).sum(axis=1, keepdims=True))
+        onehot = np.zeros((n, c), dtype=logits.data.dtype)
+        onehot[np.arange(n), labels] = 1.0
+        return -(Tensor(onehot) * (shifted - lse)).sum(axis=1).mean()
+    return loss
+
+
+def _ce_logits(rng):
+    """Logits over 5 classes whose labels take every class, with two rows
+    dominated by a logit of 1e3: one labelled there, one elsewhere, whose
+    other classes' exponentials underflow to zero."""
+    labels = np.array([0, 1, 2, 3, 4, 4, 2, 0, 3])
+    logits = rng.standard_normal((9, 5))
+    logits[2, 2] = logits[5, 0] = 1e3
+    return logits, labels
+
+
+def _value_and_grads(op, arrays, upstream):
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    (out * Tensor(upstream)).sum().backward()      # ``upstream`` is the gradient ``out`` gets
+    return [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+
+class TestFusedPrimitives:
+    """Each fused primitive, byte for byte, in its value and in every input's
+    gradient, against the composition it replaces, under an upstream
+    gradient other than 1."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", ["linear", "conv2d", "cross_entropy"])
+    def test_fused_equals_composition(self, name, dtype):
+        rng = np.random.default_rng(31)
+        if name == "linear":
+            fused, composed = ad.linear, _linear_composed
+            arrays = [rng.standard_normal(s) for s in ((6, 5), (5, 4), (4,))]
+            upstream = rng.standard_normal((6, 4))
+        elif name == "conv2d":
+            fused, composed = (lambda x, w, b: ad.conv2d(x, w, b, padding=1)), _conv2d_composed
+            arrays = [rng.standard_normal(s) for s in ((5, 2, 6, 6), (3, 2, 3, 3), (3,))]
+            upstream = rng.standard_normal((5, 3, 6, 6))
+        else:
+            logits, labels = _ce_logits(rng)
+            fused, composed = (lambda x: ad.cross_entropy(x, labels)), _cross_entropy_composed(labels)
+            arrays, upstream = [logits], np.array(0.37)
+        arrays = [a.astype(dtype) for a in arrays]
+        upstream = upstream.astype(dtype)
+        assert _value_and_grads(fused, arrays, upstream) == _value_and_grads(composed, arrays, upstream)
+
+    def test_cross_entropy_of_a_dominant_logit(self):
+        logits, labels = _ce_logits(np.random.default_rng(32))
+        x = Tensor(logits, requires_grad=True)
+        loss = ad.cross_entropy(x, labels)
+        assert np.isfinite(loss.data) and loss.data > 1e3 / len(labels)
+        loss.backward()
+        assert np.all(np.isfinite(x.grad))
+        assert x.grad[5, 0] == pytest.approx(1.0 / len(labels))      # the off-label 1e3 takes it all
+        assert x.grad[2].tobytes() == np.zeros(5).tobytes()            # at its label: nothing to move
+
+    def test_cross_entropy_refuses_a_label_out_of_range(self):
+        for labels in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
+                ad.cross_entropy(Tensor(np.zeros((2, 3))), np.array(labels))
+
+    def test_shape_errors_name_the_op(self):
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(np.ones((2, 3)), np.ones((3, 4)), np.ones(3))
+        with pytest.raises(ShapeError, match="conv2d"):
+            ad.conv2d(np.ones((1, 2, 4, 4)), np.ones((3, 2, 3, 3)), np.ones(2))
+        with pytest.raises(ShapeError, match="cross_entropy"):
+            ad.cross_entropy(np.ones((2, 3)), np.array([0, 1, 2]))
 
 
 # -- blocked kernels against the per-tap code they replaced -----------------------------

@@ -119,6 +119,14 @@ class TestTrainCommand:
         assert "mc_samples must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refused_batch_norm_run_writes_nothing(self, tmp_path, capsys):
+        # 33 training rows in batches of 32 leave a batch of 1 row
+        cfg = write_config(tmp_path, method="batch_norm", epochs=1, extra="dataset.per_class=11\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "batch norm needs at least 2 rows" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, epochs=1, extra="train.lr=1e200\n")

@@ -132,6 +132,24 @@ class TestForwardRecord:
         np.testing.assert_array_equal(record.layers[0].data, x)
 
 
+class TestGraphNodes:
+    """One graph node per dense layer, per biased convolution and per loss."""
+
+    def test_vanilla_mlp_loss_records_six_nodes(self):
+        rng = np.random.default_rng(8)
+        clf = build_classifier(mlp_spec(), rng)
+        loss = cross_entropy(clf.forward(rng.standard_normal((4, 6)), train=True), np.array([0, 1, 2, 0]))
+        assert [node._op for node in ad._topo_order(loss)] == \
+            ["cross_entropy", "linear", "relu", "linear", "relu", "linear"]
+
+    def test_cnn_stage_one_records_one_conv2d_node(self):
+        rng = np.random.default_rng(9)
+        clf = build_classifier(cnn_spec(), rng)
+        z = clf._stage(1, clf._input_tensor(rng.standard_normal((2, 2, 8, 8))))
+        assert [node._op for node in ad._topo_order(z)] == ["conv2d"]
+        assert z._parents[2] is clf.b1
+
+
 class TestPredict:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
@@ -289,7 +307,7 @@ class TestInferenceSplice:
         clf, _, record, imputed = self._world(cnn_spec, batch=16)
         mask = sample_mask("a_aug", 0.5, clf.layout, 16, np.random.default_rng(3))
         rows, conv = [], ad.conv2d
-        monkeypatch.setattr(ad, "conv2d", lambda x, w: rows.append(x.shape[0]) or conv(x, w))
+        monkeypatch.setattr(ad, "conv2d", lambda x, w, b=None: rows.append(x.shape[0]) or conv(x, w, b))
         with ad.no_grad():
             clf.forward_spliced(record, mask, imputed)
         off_at_1 = int((mask.block == 0).sum())
